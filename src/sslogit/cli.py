@@ -141,6 +141,19 @@ def _apply_standardize(x: Optional[np.ndarray], mean, scale):
     return None if x is None else (x - mean) / scale
 
 
+def _standardized(data: SplitDataset) -> tuple[SplitDataset, dict]:
+    """Every block scaled by the labeled + unlabeled pool's statistics."""
+    mean, scale = _standardize_stats(np.vstack([data.labeled_x, data.unlabeled_x]))
+    std = {"mean": mean.tolist(), "scale": scale.tolist()}
+    return SplitDataset(
+        labeled_x=_apply_standardize(data.labeled_x, mean, scale),
+        labeled_y=data.labeled_y,
+        unlabeled_x=_apply_standardize(data.unlabeled_x, mean, scale),
+        test_x=_apply_standardize(data.test_x, mean, scale),
+        test_y=data.test_y,
+    ), std
+
+
 # ---------------------------------------------------------------------------
 # Shared option groups
 # ---------------------------------------------------------------------------
@@ -244,22 +257,7 @@ def cmd_select(args) -> int:
     methods = _split_methods(args.methods)
     need_unl = any(m in ("sslrcs", "lsslr") for m in methods)
     data = _load_user_data(args, need_unl)
-    std = None
-    if args.standardize:
-        pool = (
-            np.vstack([data.labeled_x, data.unlabeled_x])
-            if data.n_unlabeled
-            else data.labeled_x
-        )
-        mean, scale = _standardize_stats(pool)
-        std = {"mean": mean.tolist(), "scale": scale.tolist()}
-        data = SplitDataset(
-            labeled_x=_apply_standardize(data.labeled_x, mean, scale),
-            labeled_y=data.labeled_y,
-            unlabeled_x=_apply_standardize(data.unlabeled_x, mean, scale),
-            test_x=_apply_standardize(data.test_x, mean, scale),
-            test_y=data.test_y,
-        )
+    data, std = _standardized(data) if args.standardize else (data, None)
     if data.n_unlabeled > 0:
         weights = weights_from_ulsif(data, _ulsif_config(args), seed=args.seed)
     else:
@@ -351,22 +349,7 @@ def cmd_fit(args) -> int:
     if method not in METHODS:
         raise ParameterError(f"unknown method {args.method!r}")
     data = _load_user_data(args, need_unlabeled=method in ("sslrcs", "lsslr"))
-    std = None
-    if args.standardize:
-        pool = (
-            np.vstack([data.labeled_x, data.unlabeled_x])
-            if data.n_unlabeled
-            else data.labeled_x
-        )
-        mean, scale = _standardize_stats(pool)
-        std = {"mean": mean.tolist(), "scale": scale.tolist()}
-        data = SplitDataset(
-            labeled_x=_apply_standardize(data.labeled_x, mean, scale),
-            labeled_y=data.labeled_y,
-            unlabeled_x=_apply_standardize(data.unlabeled_x, mean, scale),
-            test_x=_apply_standardize(data.test_x, mean, scale),
-            test_y=data.test_y,
-        )
+    data, std = _standardized(data) if args.standardize else (data, None)
     params = TuningParams(
         gamma1=args.gamma1, gamma2=args.gamma2, lam=10.0**args.log10_lambda
     )

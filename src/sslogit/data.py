@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,8 @@ class SplitDataset:
 
     Labeled and unlabeled feature matrices must share the same number of
     columns; the unlabeled block may be empty (supervised-only fitting).
+    The intercept-prefixed designs are built once, on first use, and are
+    read-only; the blocks must not be modified after construction.
     """
 
     labeled_x: np.ndarray
@@ -98,6 +101,22 @@ class SplitDataset:
     @property
     def n_features(self) -> int:
         return self.labeled_x.shape[1]
+
+    @cached_property
+    def stacked_design(self) -> np.ndarray:
+        """build_design of the labeled rows followed by the unlabeled rows."""
+        x = np.vstack([self.labeled_x, self.unlabeled_x])
+        design = np.hstack([np.ones((x.shape[0], 1)), x])
+        design.flags.writeable = False
+        return design
+
+    @property
+    def labeled_design(self) -> np.ndarray:
+        return self.stacked_design[: self.n_labeled]
+
+    @property
+    def unlabeled_design(self) -> np.ndarray:
+        return self.stacked_design[self.n_labeled :]
 
 
 def build_design(x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 The solo path (fit_semisupervised) is the reference implementation of the
 alternation. fit_lambda_batch runs the identical update rules for a whole
 ridge-grid column at once with masked retirement of converged candidates;
-the grid search uses it because a full search touches thousands of fits.
+the grid search uses it because a full search touches thousands of fits,
+and scores each returned column with one gic.gic_column call. Designs come
+from the dataset's cached copies, so a column rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -62,17 +64,12 @@ def fit_step1(
     config: Optional[NewtonConfig] = None,
 ) -> np.ndarray:
     """Maximize the weighted labeled-only penalized likelihood from zero."""
-    ws = Workspace(data, weights, params, include_unlabeled=False)
-    yt = ws.targets(np.empty(0))
-    w, _ = ws.newton(np.zeros(ws.dim), yt, config or NewtonConfig())
-    return w
+    return _step1_fit(data, weights, params, config or NewtonConfig())[0]
 
 
 def e_step(w: np.ndarray, data: SplitDataset) -> np.ndarray:
     """Impute soft targets: current posterior at every unlabeled point."""
-    if data.n_unlabeled == 0:
-        return np.empty(0)
-    return expit(build_design(data.unlabeled_x) @ np.asarray(w, dtype=np.float64))
+    return expit(data.unlabeled_design @ np.asarray(w, dtype=np.float64))
 
 
 def m_step(
@@ -94,11 +91,10 @@ def _step1_fit(
     data: SplitDataset,
     weights: RatioWeights,
     params: TuningParams,
-    cfg: EmConfig,
+    config: NewtonConfig,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     ws = Workspace(data, weights, params, include_unlabeled=False)
-    yt = ws.targets(np.empty(0))
-    return ws.newton(np.zeros(ws.dim), yt, cfg.newton)
+    return ws.newton(np.zeros(ws.dim), ws.targets(np.empty(0)), config)
 
 
 def fit_supervised(
@@ -109,7 +105,7 @@ def fit_supervised(
 ) -> FittedModel:
     """Labeled-only fit; the unlabeled block is ignored entirely."""
     cfg = config or EmConfig()
-    w, diag = _step1_fit(data, weights, params, cfg)
+    w, diag = _step1_fit(data, weights, params, cfg.newton)
     return FittedModel(
         w=w,
         t_hat=np.empty(0),
@@ -135,17 +131,9 @@ def fit_semisupervised(
     after exactly one EM iteration.
     """
     cfg = config or EmConfig()
-    w, diag = _step1_fit(data, weights, params, cfg)
     if data.n_unlabeled == 0:
-        return FittedModel(
-            w=w,
-            t_hat=np.empty(0),
-            params=params,
-            em_iterations=0,
-            final_objective=diag.objective,
-            converged=True,
-            newton_diagnostics=diag,
-        )
+        return fit_supervised(data, weights, params, cfg)
+    w, diag = _step1_fit(data, weights, params, cfg.newton)
     ws = Workspace(data, weights, params)
     converged = False
     iterations = 0
@@ -251,16 +239,17 @@ def _batch_solve(h, g):
     return delta, failed
 
 
-def _newton_batch(x, v, yt, lams, n1, w0, config: NewtonConfig) -> _NewtonBatchState:
+def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _NewtonBatchState:
     """Run Workspace.newton's exact update rules on B candidates at once.
 
     yt has shape (B, n); rows differ only through the imputed targets.
+    obj0 is the objective at w0, which every caller already holds.
     Candidates retire independently: small gradient, stalled improvement,
     exhausted line search, or a solver failure.
     """
     n_batch, dim = w0.shape
     w = w0.copy()
-    obj = _batch_objective(w, x, v, yt, lams, n1)
+    obj = np.array(obj0, dtype=np.float64)
     iters = np.zeros(n_batch, dtype=np.int64)
     hit_max = np.ones(n_batch, dtype=bool)
     failed = np.zeros(n_batch, dtype=bool)
@@ -335,13 +324,15 @@ def fit_step1_batch(
     config: NewtonConfig,
 ) -> _NewtonBatchState:
     """Step-1 fits for one gamma1 and a whole ridge column (gamma2-free)."""
-    x_lab = build_design(data.labeled_x)
+    x_lab = data.labeled_design
+    lams = np.asarray(lams, dtype=np.float64)
     vr = power_weights(weights.r_labeled, gamma1)
     yt = np.broadcast_to(
         data.labeled_y.astype(np.float64), (lams.size, data.n_labeled)
     )
     w0 = np.zeros((lams.size, x_lab.shape[1]))
-    return _newton_batch(x_lab, vr, yt, np.asarray(lams, dtype=np.float64), data.n_labeled, w0, config)
+    obj0 = _batch_objective(w0, x_lab, vr, yt, lams, data.n_labeled)
+    return _newton_batch(x_lab, vr, yt, lams, data.n_labeled, w0, obj0, config)
 
 
 def fit_lambda_batch(
@@ -366,9 +357,6 @@ def fit_lambda_batch(
     if step1 is None:
         step1 = fit_step1_batch(data, weights, gamma1, lams, cfg.newton)
 
-    def params_for(i: int) -> TuningParams:
-        return TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lams[i]))
-
     def diag_for(state: _NewtonBatchState, i: int) -> NewtonDiagnostics:
         return NewtonDiagnostics(
             iterations=int(state.iterations[i]),
@@ -377,31 +365,9 @@ def fit_lambda_batch(
             status=state.status[i],
         )
 
-    if labeled_only or data.n_unlabeled == 0:
-        models: list[Optional[FittedModel]] = []
-        errors: list[Optional[str]] = []
-        for i in range(n_batch):
-            if step1.status[i] == _FAILED:
-                models.append(None)
-                errors.append("singular Hessian")
-                continue
-            models.append(
-                FittedModel(
-                    w=step1.w[i].copy(),
-                    t_hat=np.empty(0),
-                    params=params_for(i),
-                    em_iterations=0,
-                    final_objective=float(step1.objective[i]),
-                    converged=True,
-                    newton_diagnostics=diag_for(step1, i),
-                )
-            )
-            errors.append(None)
-        return _BatchFits(models, errors)
-
-    x_lab = build_design(data.labeled_x)
-    x_unl = build_design(data.unlabeled_x)
-    x = np.vstack([x_lab, x_unl])
+    # Labeled-only candidates skip the EM loop and keep their step-1 fits.
+    n_unl = 0 if labeled_only else data.n_unlabeled
+    x = data.stacked_design
     n1 = data.n_labeled
     v = np.concatenate(
         [
@@ -414,36 +380,34 @@ def fit_lambda_batch(
 
     w = step1.w.copy()
     failed = np.array([s == _FAILED for s in step1.status])
-    t_hat = np.zeros((n_batch, data.n_unlabeled))
-    obj_cur = np.zeros(n_batch)
+    t_hat = np.zeros((n_batch, n_unl))
+    obj_cur = step1.objective.copy()
     obj_prev = np.zeros(n_batch)
     em_iters = np.zeros(n_batch, dtype=np.int64)
-    converged = np.zeros(n_batch, dtype=bool)
+    converged = np.full(n_batch, n_unl == 0)
     last_diag: list[Optional[NewtonDiagnostics]] = [None] * n_batch
 
-    active = np.flatnonzero(~failed)
+    active = np.flatnonzero(~failed) if n_unl else np.empty(0, dtype=np.intp)
     for k in range(1, cfg.max_em_iters + 1):
         if active.size == 0:
             break
-        t_act = expit(w[active] @ x_unl.T)
+        t_act = expit(w[active] @ data.unlabeled_design.T)
         t_hat[active] = t_act
         yt[active, n1:] = t_act
+        # The objective at the warm start under the new targets; at k = 1
+        # it is also the reference for the first convergence check.
+        obj0 = _batch_objective(w[active], x, v, yt[active], lams[active], n1)
         if k == 1:
-            obj_prev[active] = _batch_objective(
-                w[active], x, v, yt[active], lams[active], n1
-            )
-        state = _newton_batch(x, v, yt[active], lams[active], n1, w[active], cfg.newton)
+            obj_prev[active] = obj0
+        state = _newton_batch(
+            x, v, yt[active], lams[active], n1, w[active], obj0, cfg.newton
+        )
         newly_failed = np.array([s == _FAILED for s in state.status])
         w[active] = state.w
         obj_cur[active] = state.objective
         em_iters[active] = k
         for pos, i in enumerate(active):
-            last_diag[i] = NewtonDiagnostics(
-                iterations=int(state.iterations[pos]),
-                objective=float(state.objective[pos]),
-                grad_norm=float(state.grad_norm[pos]),
-                status=state.status[pos],
-            )
+            last_diag[i] = diag_for(state, pos)
         if newly_failed.any():
             failed[active[newly_failed]] = True
         done = np.abs(state.objective - obj_prev[active]) < cfg.epsilon
@@ -451,7 +415,7 @@ def fit_lambda_batch(
         obj_prev[active] = state.objective
         active = active[~done & ~newly_failed]
 
-    models = []
+    models: list[Optional[FittedModel]] = []
     errors: list[Optional[str]] = []
     for i in range(n_batch):
         if failed[i]:
@@ -463,7 +427,7 @@ def fit_lambda_batch(
             FittedModel(
                 w=w[i].copy(),
                 t_hat=t_hat[i].copy(),
-                params=params_for(i),
+                params=TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lams[i])),
                 em_iterations=int(em_iters[i]),
                 final_objective=float(obj_cur[i]),
                 converged=bool(converged[i]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import SplitDataset, build_design
+from .data import SplitDataset
 from .errors import NumericalError, ParameterError
 from .ratios import RatioWeights
 
@@ -130,17 +130,16 @@ class Workspace:
             raise ParameterError("r_labeled length must match the labeled count")
         if weights.s_unlabeled.shape[0] != data.n_unlabeled:
             raise ParameterError("s_unlabeled length must match the unlabeled count")
-        x_lab = build_design(data.labeled_x)
         self.n1 = data.n_labeled
         self.lam = params.lam
         vr = power_weights(weights.r_labeled, params.gamma1)
         if include_unlabeled and data.n_unlabeled > 0:
             self.n_unl = data.n_unlabeled
-            self.x = np.vstack([x_lab, build_design(data.unlabeled_x)])
+            self.x = data.stacked_design
             self.v = np.concatenate([vr, power_weights(weights.s_unlabeled, params.gamma2)])
         else:
             self.n_unl = 0
-            self.x = x_lab
+            self.x = data.labeled_design
             self.v = vr
         self.x_unl = self.x[self.n1 :]
         self.dim = self.x.shape[1]

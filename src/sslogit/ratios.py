@@ -313,7 +313,7 @@ def weights_from_ulsif(
         denominator_samples=data.labeled_x,
         candidate_sigmas=sigmas,
         candidate_rhos=cfg.rho_values,
-        seed=_salted(seed, 1),
+        seed=derive_seed(seed, 1),
         max_centers=cfg.max_centers,
         ratio_floor=cfg.ratio_floor,
         ratio_cap=cfg.ratio_cap,
@@ -323,7 +323,7 @@ def weights_from_ulsif(
         denominator_samples=data.unlabeled_x,
         candidate_sigmas=sigmas,
         candidate_rhos=cfg.rho_values,
-        seed=_salted(seed, 2),
+        seed=derive_seed(seed, 2),
         max_centers=cfg.max_centers,
         ratio_floor=cfg.ratio_floor,
         ratio_cap=cfg.ratio_cap,
@@ -332,7 +332,3 @@ def weights_from_ulsif(
         r_labeled=ulsif_predict(r_model, data.labeled_x),
         s_unlabeled=ulsif_predict(s_model, data.unlabeled_x),
     )
-
-
-def _salted(seed: Seed, salt: int) -> int:
-    return derive_seed(seed, salt)

@@ -3,22 +3,24 @@
 Three method flavors share the machinery: the weighted semi-supervised fit
 searches over (gamma1, gamma2, lambda); the unit-weight semi-supervised and
 labeled-only baselines search over lambda alone. Candidates are fitted a
-ridge column at a time (see em.fit_lambda_batch) and scored with the
-matching criterion.
+ridge column at a time (see em.fit_lambda_batch), and each column is scored
+by one gic.gic_column call with the matching weights: r^gamma1 for the
+weighted method, ones for the baselines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .data import SplitDataset
 from .em import EmConfig, FittedModel, fit_lambda_batch, fit_step1_batch
 from .errors import NumericalError, ParameterError
-from .gic import GicReport, gic_lsslr, gic_score, gic_slr
-from .objective import TuningParams
+from .gic import GicReport, gic_column
+from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+from .objective import TuningParams, power_weights
 from .ratios import RatioWeights, unit_weights
 
 METHODS = ("sslrcs", "lsslr", "slr")
@@ -116,36 +118,43 @@ def grid_search(
     records: list[CandidateRecord] = []
     best = _Best()
 
-    def handle(fits, gamma1: float, gamma2: float, score: Callable[[FittedModel], GicReport]):
+    def handle(fits, gamma1: float, gamma2: float, eta: np.ndarray):
+        fitted = [m for m in fits.models if m is not None]
+        col = gic_column(
+            np.array([m.w for m in fitted]).reshape(-1, data.n_features + 1),
+            data,
+            eta,
+            [m.params.lam for m in fitted],
+        )
+        rows = iter(range(len(fitted)))
         for i, (model, err) in enumerate(zip(fits.models, fits.errors)):
-            params = TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lams[i]))
             if model is None:
+                params = TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lams[i]))
                 records.append(CandidateRecord(params, None, False, err))
                 continue
             try:
-                report = score(model)
+                report = col.report(next(rows), model.params)
             except NumericalError as exc:
-                records.append(CandidateRecord(params, None, model.converged, str(exc)))
-                continue
-            records.append(CandidateRecord(params, report, model.converged, None))
-            best.offer(model, report)
+                report, err = None, str(exc)
+            else:
+                best.offer(model, report)
+            records.append(CandidateRecord(model.params, report, model.converged, err))
 
     if meth == "sslrcs":
         for gamma1 in g.gamma1_values:
             step1 = fit_step1_batch(data, weights, gamma1, lams, cfg.newton)
+            eta = power_weights(weights.r_labeled, gamma1)
             for gamma2 in g.gamma2_values:
                 fits = fit_lambda_batch(
                     data, weights, gamma1, gamma2, lams, cfg, step1=step1
                 )
-                handle(fits, gamma1, gamma2, lambda m: gic_score(m, data, weights))
-    elif meth == "lsslr":
-        ones = unit_weights(data)
-        fits = fit_lambda_batch(data, ones, 0.0, 0.0, lams, cfg)
-        handle(fits, 0.0, 0.0, lambda m: gic_lsslr(m, data))
+                handle(fits, gamma1, gamma2, eta)
     else:
         ones = unit_weights(data)
-        fits = fit_lambda_batch(data, ones, 0.0, 0.0, lams, cfg, labeled_only=True)
-        handle(fits, 0.0, 0.0, lambda m: gic_slr(m, data))
+        fits = fit_lambda_batch(
+            data, ones, 0.0, 0.0, lams, cfg, labeled_only=meth == "slr"
+        )
+        handle(fits, 0.0, 0.0, ones.r_labeled)
 
     winner = best.winner()
     if winner is None:

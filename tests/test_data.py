@@ -44,6 +44,28 @@ class TestSplitDataset:
         assert data.n_unlabeled == 3
         assert data.n_features == 2
 
+    def test_cached_designs_match_build_design(self):
+        data = small_data()
+        np.testing.assert_array_equal(data.labeled_design, build_design(data.labeled_x))
+        np.testing.assert_array_equal(
+            data.unlabeled_design, build_design(data.unlabeled_x)
+        )
+        np.testing.assert_array_equal(
+            data.stacked_design,
+            np.vstack([data.labeled_design, data.unlabeled_design]),
+        )
+        assert data.stacked_design is data.stacked_design
+        with pytest.raises(ValueError):
+            data.labeled_design[0, 0] = 2.0
+
+    def test_empty_unlabeled_design_keeps_its_columns(self):
+        data = SplitDataset(
+            labeled_x=np.ones((3, 2)),
+            labeled_y=np.array([0, 1, 0], dtype=np.uint8),
+            unlabeled_x=np.empty((0, 2)),
+        )
+        assert data.unlabeled_design.shape == (0, 3)
+
     def test_no_unlabeled_allowed(self):
         rng = make_rng(1)
         data = SplitDataset(

@@ -8,8 +8,8 @@ from sslogit.data import SplitDataset, build_design, make_rng
 from sslogit.em import FittedModel, fit_semisupervised
 from sslogit.errors import NumericalError
 from sslogit.gic import (
-    GicMatrices,
-    _trace_term,
+    _trace_terms,
+    gic_column,
     gic_lsslr,
     gic_matrices,
     gic_score,
@@ -120,6 +120,56 @@ class TestGicMatrices:
         np.testing.assert_array_equal(a.r, b.r)
 
 
+class TestGicColumn:
+    """The batched kernel, row by row, against the per-point oracles."""
+
+    LAMS = np.array([1e-3, 0.05, 0.2, 1.5, 30.0])
+
+    def column_inputs(self, seed, lams):
+        data, weights = make_instance(20, 8, 3, seed=seed)
+        rng = make_rng(2000 + seed)
+        w = rng.normal(scale=0.7, size=(lams.size, 4))
+        eta = power_weights(weights.r_labeled, 0.6)
+        x_lab = build_design(data.labeled_x)
+        return data, weights, w, x_lab, data.labeled_y.astype(float), eta
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_row_matches_per_point_oracle(self, seed):
+        data, _, w, x_lab, y, eta = self.column_inputs(seed, self.LAMS)
+        col = gic_column(w, data, eta, self.LAMS)
+        for b, lam in enumerate(self.LAMS):
+            q_ref, r_ref = matrices_by_loop(w[b], x_lab, y, eta, lam)
+            np.testing.assert_allclose(col.q[b], q_ref, rtol=1e-12)
+            np.testing.assert_allclose(col.r[b], r_ref, rtol=1e-12)
+            nll_ref = nll_by_loop(w[b], x_lab, y, eta)
+            assert col.weighted_nll[b] == pytest.approx(nll_ref, rel=1e-12)
+            trace_ref = float(np.trace(np.linalg.solve(r_ref, q_ref)))
+            assert col.trace_term[b] == pytest.approx(trace_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_row_equals_solo_score(self, seed):
+        # Bit for bit: the grid search scores columns, and its selections
+        # and printed criteria must not depend on the batch a model sat in.
+        data, weights, w, _, _, eta = self.column_inputs(seed, self.LAMS)
+        col = gic_column(w, data, eta, self.LAMS)
+        for b, lam in enumerate(self.LAMS):
+            params = TuningParams(0.6, 0.3, float(lam))
+            assert col.report(b, params) == gic_score(make_model(w[b], params), data, weights)
+
+    def test_indefinite_row_fails_alone(self):
+        # A negative ridge value drives one row's R indefinite; the other
+        # rows of the column must still score as they do on their own.
+        lams = np.array([0.05, -50.0, 1.5])
+        data, weights, w, _, _, eta = self.column_inputs(7, lams)
+        col = gic_column(w, data, eta, lams)
+        with pytest.raises(NumericalError, match="degenerate information matrix"):
+            col.report(1, TuningParams(0.6, 0.3, 1.0))
+        for b in (0, 2):
+            params = TuningParams(0.6, 0.3, float(lams[b]))
+            solo = gic_score(make_model(w[b], params), data, weights)
+            assert col.report(b, params).gic == pytest.approx(solo.gic, rel=1e-12)
+
+
 class TestGicScore:
     def test_matches_from_scratch_oracle(self):
         data, weights = make_instance(25, 6, 2, seed=9)
@@ -212,10 +262,18 @@ class TestTraceTerm:
     def test_rank_deficient_rescued_by_jitter(self):
         # A positive semidefinite curvature matrix with one zero eigenvalue
         # is still usable after the diagonal bump.
-        mats = GicMatrices(q=np.eye(2), r=np.diag([1.0, 0.0]))
-        assert np.isfinite(_trace_term(mats))
+        assert np.isfinite(_trace_terms(np.eye(2)[None], np.diag([1.0, 0.0])[None]))
 
     def test_indefinite_matrix_raises(self):
-        mats = GicMatrices(q=np.eye(2), r=-np.eye(2))
+        data, _ = make_instance(12, 4, 2, seed=17)
+        col = gic_column(np.array([[0.1, 0.4, -0.3]]), data, np.ones(12), [-50.0])
         with pytest.raises(NumericalError, match="degenerate information matrix"):
-            _trace_term(mats)
+            col.report(0, TuningParams(0.0, 0.0, 1.0))
+
+    def test_rows_fall_back_independently(self):
+        q = np.stack([np.eye(2)] * 3)
+        r = np.stack([np.diag([1.0, 0.0]), -np.eye(2), 2.0 * np.eye(2)])
+        trace = _trace_terms(q, r)
+        assert np.isfinite(trace[0])
+        assert np.isnan(trace[1])
+        assert trace[2] == pytest.approx(1.0, rel=1e-15)

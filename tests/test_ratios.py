@@ -8,6 +8,8 @@ from sslogit.data import SplitDataset, make_rng
 from sslogit.errors import DataError, ParameterError
 from sslogit.ratios import (
     DiagGaussian,
+    _kernel,
+    _loocv_score,
     RatioWeights,
     UlsifConfig,
     exact_ratio,
@@ -162,6 +164,38 @@ class TestMedianPairwiseDistance:
     def test_needs_two_points(self):
         with pytest.raises(DataError, match="two points"):
             median_pairwise_distance(np.ones((1, 3)))
+
+
+def loocv_by_refit(k_nu, k_de, rho):
+    """Leave-one-out score by brute force: for each of the first
+    min(n_nu, n_de) pairs, drop the pair from both kernel matrices, refit
+    the clipped coefficients, and score the held-out pair."""
+    n_nu, b = k_nu.shape
+    n_de = k_de.shape[0]
+    n = min(n_nu, n_de)
+    total = 0.0
+    for i in range(n):
+        kn = np.delete(k_nu, i, axis=0)
+        kd = np.delete(k_de, i, axis=0)
+        alpha = np.linalg.solve(kd.T @ kd / (n_de - 1) + rho * np.eye(b), kn.mean(axis=0))
+        alpha = np.maximum(alpha, 0.0)
+        total += (k_de[i] @ alpha) ** 2 / 2.0 - k_nu[i] @ alpha
+    return total / n
+
+
+class TestLoocvScore:
+    @pytest.mark.parametrize("n_nu,n_de", [(6, 11), (9, 9), (14, 7)])
+    @pytest.mark.parametrize("rho", [1e-3, 0.1, 1.0])
+    def test_closed_form_matches_refit_oracle(self, n_nu, n_de, rho):
+        rng = make_rng(n_nu * 100 + n_de)
+        x_nu = rng.normal(0.3, 1.0, size=(n_nu, 2))
+        x_de = rng.normal(0.0, 1.2, size=(n_de, 2))
+        centers = x_nu[:5]
+        for sigma in (0.5, 1.5):
+            k_nu = _kernel(x_nu, centers, sigma)
+            k_de = _kernel(x_de, centers, sigma)
+            expected = loocv_by_refit(k_nu, k_de, rho)
+            assert _loocv_score(k_nu, k_de, rho) == pytest.approx(expected, rel=1e-12)
 
 
 class TestUlsifFit:

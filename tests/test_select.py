@@ -5,9 +5,10 @@ import pytest
 
 import sslogit.select as select_mod
 from sslogit.data import SplitDataset, make_rng
-from sslogit.em import _BatchFits, fit_semisupervised
+import sslogit.gic as gic_mod
+from sslogit.em import _BatchFits, fit_lambda_batch, fit_semisupervised
 from sslogit.errors import NumericalError, ParameterError
-from sslogit.gic import gic_score
+from sslogit.gic import gic_lsslr, gic_score, gic_slr
 from sslogit.objective import TuningParams
 from sslogit.ratios import RatioWeights, unit_weights
 from sslogit.select import Grid, default_grid, grid_search
@@ -144,6 +145,54 @@ class TestGridSearch:
         for cand in res.candidates:
             assert cand.params.gamma1 == 0.0
             assert cand.params.gamma2 == 0.0
+
+
+class TestColumnScoring:
+    """Each column is scored by one kernel call; the records must equal
+    what the single-model wrappers give on the same refitted models."""
+
+    @pytest.mark.parametrize("method", ["sslrcs", "lsslr", "slr"])
+    def test_records_equal_solo_scores(self, method):
+        data, weights = make_instance(15, 10, 2, seed=11)
+        res = grid_search(data, weights, TINY, method=method)
+        lams = np.power(10.0, np.asarray(TINY.log10_lambda_values))
+        if method == "sslrcs":
+            cells = [(g1, g2) for g1 in TINY.gamma1_values for g2 in TINY.gamma2_values]
+        else:
+            cells = [(0.0, 0.0)]
+        solo = []
+        for g1, g2 in cells:
+            if method == "sslrcs":
+                fits = fit_lambda_batch(data, weights, g1, g2, lams)
+                solo += [gic_score(m, data, weights) for m in fits.models]
+            else:
+                ones = unit_weights(data)
+                fits = fit_lambda_batch(
+                    data, ones, 0.0, 0.0, lams, labeled_only=method == "slr"
+                )
+                score = gic_lsslr if method == "lsslr" else gic_slr
+                solo += [score(m, data) for m in fits.models]
+        assert len(res.candidates) == len(solo)
+        for cand, ref in zip(res.candidates, solo):
+            assert cand.error is None
+            assert cand.params == ref.params
+            assert cand.report.params is cand.params
+            assert cand.report.gic == pytest.approx(ref.gic, rel=1e-12)
+
+    def test_degenerate_row_is_recorded_alone(self, monkeypatch):
+        data, weights = make_instance(15, 10, 2, seed=12)
+
+        def one_bad_row(*args):
+            col = gic_mod.gic_column(*args)
+            col.trace_term[1] = np.nan
+            return col
+
+        monkeypatch.setattr(select_mod, "gic_column", one_bad_row)
+        res = grid_search(data, weights, TINY, method="lsslr")
+        bad = res.candidates[1]
+        assert bad.report is None
+        assert bad.error == "degenerate information matrix"
+        assert all(c.report is not None for i, c in enumerate(res.candidates) if i != 1)
 
 
 class TestAllCandidatesFailed:
