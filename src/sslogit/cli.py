@@ -9,7 +9,6 @@ invocations produce identical bytes. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import SplitDataset
+from .data import SplitDataset, read_csv
 from .em import EmConfig, FittedModel, fit_semisupervised, fit_supervised, predict
 from .errors import DataError, NumericalError, ParameterError, SslogitError
 from .experiments import (
@@ -28,7 +27,6 @@ from .experiments import (
     SIM2_CASES,
     BenchmarkExperiment,
     ShiftedSyntheticExperiment,
-    _read_label_csv,
     load_benchmark,
     run_trials,
     sim1_experiment,
@@ -55,35 +53,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Small IO helpers
 # ---------------------------------------------------------------------------
-
-
-def _read_feature_csv(path) -> np.ndarray:
-    """Header row plus float feature columns (no label column)."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataError(f"{path}: row {lineno} has a non-numeric value") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -234,16 +203,16 @@ def _split_methods(text: str) -> tuple[str, ...]:
 
 
 def _load_user_data(args, need_unlabeled: bool) -> SplitDataset:
-    labeled_x, labeled_y = _read_label_csv(args.labeled)
+    labeled_x, labeled_y = read_csv(args.labeled, has_label=True)
     if args.unlabeled:
-        unlabeled_x = _read_feature_csv(args.unlabeled)
+        unlabeled_x, _ = read_csv(args.unlabeled, has_label=False)
     elif need_unlabeled:
         raise ParameterError("--unlabeled is required for the requested methods")
     else:
         unlabeled_x = np.empty((0, labeled_x.shape[1]))
     test_x = test_y = None
     if args.test:
-        test_x, test_y = _read_label_csv(args.test)
+        test_x, test_y = read_csv(args.test, has_label=True)
     return SplitDataset(
         labeled_x=labeled_x,
         labeled_y=labeled_y,
@@ -410,7 +379,7 @@ def _load_model(path) -> dict:
 
 def cmd_predict(args) -> int:
     doc = _load_model(args.model)
-    x = _read_feature_csv(args.data)
+    x, _ = read_csv(args.data, has_label=False)
     if x.shape[1] != doc["n_features"]:
         raise DataError(
             f"{args.data}: {x.shape[1]} features, model expects {doc['n_features']}"

@@ -1,7 +1,10 @@
-"""Dataset containers, design matrices, and seeded labeled/unlabeled splits."""
+"""Dataset containers, design matrices, seeded labeled/unlabeled splits,
+and the CSV reader.
+"""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -155,3 +158,46 @@ def split_labeled_unlabeled(
         labeled_y=y[lab],
         unlabeled_x=x[unlab],
     )
+
+
+def read_csv(path, has_label: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Parse a header row plus float feature columns.
+
+    With has_label the final column must be named 'label' and hold values
+    in {0, 1}; they are returned as the second element, which is None
+    otherwise. Blank lines are skipped; every format problem is a DataError.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if has_label and (len(header) < 2 or header[-1].strip().lower() != "label"):
+            raise DataError(f"{path}: final column must be named 'label'")
+        n_feat = len(header) - has_label
+        feats, labels = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
+                )
+            try:
+                feats.append([float(v) for v in row[:n_feat]])
+            except ValueError:
+                raise DataError(f"{path}: row {lineno} has a non-numeric feature") from None
+            if has_label:
+                lab = row[-1].strip()
+                if lab not in ("0", "1"):
+                    raise DataError(f"{path}: row {lineno} label {lab!r} not in {{0,1}}")
+                labels.append(int(lab))
+    if not feats:
+        raise DataError(f"{path}: no data rows")
+    x = np.asarray(feats, dtype=np.float64)
+    return x, np.asarray(labels, dtype=np.uint8) if has_label else None

@@ -8,7 +8,6 @@ synthetic stand-in benchmark for environments without the original files.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import warnings
@@ -18,7 +17,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data import Seed, SplitDataset, derive_seed, make_rng, split_labeled_unlabeled
+from .data import Seed, SplitDataset, derive_seed, make_rng, read_csv, split_labeled_unlabeled
 from .em import EmConfig, predict
 from .errors import DataError, ParameterError, SslogitError
 from .ratios import (
@@ -215,42 +214,6 @@ BENCHMARK_SPECS = {
 BENCHMARK_FRACTIONS = (0.05, 0.10, 0.20, 0.30, 0.40, 0.50)
 
 
-def _read_label_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the documented format: header row, float feature columns,
-    final column named 'label' with values in {0, 1}."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2 or header[-1].strip().lower() != "label":
-            raise DataError(f"{path}: final column must be named 'label'")
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                feats.append([float(v) for v in row[:-1]])
-            except ValueError:
-                raise DataError(f"{path}: row {lineno} has a non-numeric feature") from None
-            lab = row[-1].strip()
-            if lab not in ("0", "1"):
-                raise DataError(f"{path}: row {lineno} label {lab!r} not in {{0,1}}")
-            labels.append(int(lab))
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.uint8)
-
-
 def load_benchmark(name: str, path, strict: bool = True):
     """Read <name>_train.csv and <name>_test.csv from a directory.
 
@@ -262,8 +225,8 @@ def load_benchmark(name: str, path, strict: bool = True):
             f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARK_SPECS)}"
         )
     spec = BENCHMARK_SPECS[name]
-    train_x, train_y = _read_label_csv(os.path.join(path, f"{name}_train.csv"))
-    test_x, test_y = _read_label_csv(os.path.join(path, f"{name}_test.csv"))
+    train_x, train_y = read_csv(os.path.join(path, f"{name}_train.csv"), has_label=True)
+    test_x, test_y = read_csv(os.path.join(path, f"{name}_test.csv"), has_label=True)
     for which, x in (("train", train_x), ("test", test_x)):
         if x.shape[1] != spec.n_features:
             raise DataError(

@@ -5,6 +5,12 @@ with hard 0/1 responses and weights r^gamma1; unlabeled rows enter with soft
 targets t in [0, 1] and weights s^gamma2. The ridge penalty excludes the
 intercept and is scaled by the labeled count n1, not the total count, so
 adding unlabeled rows never changes the penalty strength.
+
+The objective, its gradient and Hessian, and the damped Newton loop are
+written once, for a batch of B coefficient vectors that share the rows and
+their weights and differ in ridge value and soft targets; the grid search
+runs one ridge column as one batch. weighted_objective, gradient, hessian
+and newton_maximize are batches of one.
 """
 
 from __future__ import annotations
@@ -86,13 +92,6 @@ def power_weights(values: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(gamma * np.log(v))
 
 
-def _penalty_vector(w: np.ndarray) -> np.ndarray:
-    """K w with K = diag(0, I): the intercept never feels the ridge."""
-    kw = w.copy()
-    kw[0] = 0.0
-    return kw
-
-
 def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve H delta = g with one jittered retry before giving up."""
     try:
@@ -111,123 +110,196 @@ def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     raise NumericalError("singular Hessian")
 
 
-class Workspace:
-    """Preassembled design and weights for repeated evaluations.
+# ---------------------------------------------------------------------------
+# Batched kernel: B coefficient rows share one design and one weight vector
+# ---------------------------------------------------------------------------
 
-    Stacks labeled rows first, then unlabeled rows. The per-row weight
-    vector v = (r^gamma1, s^gamma2) is fixed; only the soft targets t vary
-    across calls.
+_FAILED = "failed"
+
+
+@dataclass
+class _NewtonBatchState:
+    w: np.ndarray  # (B, d)
+    objective: np.ndarray  # (B,)
+    iterations: np.ndarray  # (B,) int
+    grad_norm: np.ndarray  # (B,)
+    status: list[str]
+
+    def diagnostics(self, i: int) -> NewtonDiagnostics:
+        return NewtonDiagnostics(
+            iterations=int(self.iterations[i]),
+            objective=float(self.objective[i]),
+            grad_norm=float(self.grad_norm[i]),
+            status=self.status[i],
+        )
+
+
+def _batch_objective(w, x, v, yt, lams, n1):
+    z = w @ x.T
+    fit = ((yt * z - np.logaddexp(0.0, z)) * v).sum(axis=1)
+    pen = (w[:, 1:] ** 2).sum(axis=1)
+    return fit - 0.5 * n1 * lams * pen
+
+
+def _batch_gradient(w, x, v, yt, lams, n1):
+    pi = expit(w @ x.T)
+    g = ((yt - pi) * v) @ x
+    g[:, 1:] -= (n1 * lams)[:, None] * w[:, 1:]
+    return g
+
+
+def _batch_hessian(w, x, v, yt, lams, n1):
+    pi = expit(w @ x.T)
+    d = v * pi * (1.0 - pi)
+    tmp = d[:, :, None] * x[None, :, :]
+    h = -np.matmul(tmp.transpose(0, 2, 1), x)
+    idx = np.arange(1, x.shape[1])
+    h[:, idx, idx] -= (n1 * lams)[:, None]
+    return 0.5 * (h + h.transpose(0, 2, 1))
+
+
+def _batch_solve(h, g):
+    """Batched Newton systems; fall back per candidate on failure.
+
+    Returns (delta, failed_mask). Failed rows get a zero step and are
+    retired by the caller.
     """
+    try:
+        delta = np.linalg.solve(h, g[..., None])[..., 0]
+        if np.all(np.isfinite(delta)):
+            return delta, np.zeros(g.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    delta = np.zeros_like(g)
+    failed = np.zeros(g.shape[0], dtype=bool)
+    for i in range(g.shape[0]):
+        try:
+            delta[i] = solve_newton_system(h[i], g[i])
+        except NumericalError:
+            failed[i] = True
+    return delta, failed
 
-    def __init__(
-        self,
-        data: SplitDataset,
-        weights: RatioWeights,
-        params: TuningParams,
-        include_unlabeled: bool = True,
-    ):
-        if weights.r_labeled.shape[0] != data.n_labeled:
-            raise ParameterError("r_labeled length must match the labeled count")
-        if weights.s_unlabeled.shape[0] != data.n_unlabeled:
-            raise ParameterError("s_unlabeled length must match the unlabeled count")
-        self.n1 = data.n_labeled
-        self.lam = params.lam
-        vr = power_weights(weights.r_labeled, params.gamma1)
-        if include_unlabeled and data.n_unlabeled > 0:
-            self.n_unl = data.n_unlabeled
-            self.x = data.stacked_design
-            self.v = np.concatenate([vr, power_weights(weights.s_unlabeled, params.gamma2)])
+
+def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _NewtonBatchState:
+    """Maximize the objective at fixed targets by damped Newton steps, for
+    B candidates at once.
+
+    yt has shape (B, n); rows differ only through the imputed targets.
+    obj0 is the objective at w0, which every caller already holds. Full
+    steps are halved until the objective strictly increases. Candidates
+    retire independently: small gradient, sub-tolerance improvement,
+    exhausted line search, or a solver failure.
+    """
+    n_batch, dim = w0.shape
+    w = w0.copy()
+    obj = np.array(obj0, dtype=np.float64)
+    iters = np.zeros(n_batch, dtype=np.int64)
+    hit_max = np.ones(n_batch, dtype=bool)
+    failed = np.zeros(n_batch, dtype=bool)
+    active = np.arange(n_batch)
+    for _ in range(config.max_iters):
+        if active.size == 0:
+            break
+        g = _batch_gradient(w[active], x, v, yt[active], lams[active], n1)
+        small = np.linalg.norm(g, axis=1) <= config.grad_tol
+        hit_max[active[small]] = False
+        active = active[~small]
+        if active.size == 0:
+            break
+        g = g[~small]
+        h = _batch_hessian(w[active], x, v, yt[active], lams[active], n1)
+        delta, solve_failed = _batch_solve(h, g)
+        if solve_failed.any():
+            bad = active[solve_failed]
+            failed[bad] = True
+            hit_max[bad] = False
+            active = active[~solve_failed]
+            delta = delta[~solve_failed]
+            if active.size == 0:
+                break
+        w_act = w[active]
+        yt_act = yt[active]
+        lam_act = lams[active]
+        step = np.ones(active.size)
+        w_try = w_act - delta
+        obj_try = _batch_objective(w_try, x, v, yt_act, lam_act, n1)
+        need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
+        for _ in range(config.max_halvings):
+            if not need.any():
+                break
+            step[need] *= 0.5
+            w_try[need] = w_act[need] - step[need, None] * delta[need]
+            obj_try[need] = _batch_objective(
+                w_try[need], x, v, yt_act[need], lam_act[need], n1
+            )
+            need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
+        accepted = ~need
+        iters[active] += 1
+        hit_max[active[~accepted]] = False
+        improvement = obj_try - obj[active]
+        upd = active[accepted]
+        w[upd] = w_try[accepted]
+        obj[upd] = obj_try[accepted]
+        stalled = accepted & (improvement <= config.obj_tol)
+        hit_max[active[stalled]] = False
+        active = active[accepted & (improvement > config.obj_tol)]
+    grad_norm = np.linalg.norm(
+        _batch_gradient(w, x, v, yt, lams, n1), axis=1
+    )
+    status = []
+    for i in range(n_batch):
+        if failed[i]:
+            status.append(_FAILED)
+        elif grad_norm[i] <= config.grad_tol:
+            status.append("converged")
+        elif hit_max[i]:
+            status.append("max-iterations")
         else:
-            self.n_unl = 0
-            self.x = data.labeled_design
-            self.v = vr
-        self.x_unl = self.x[self.n1 :]
-        self.dim = self.x.shape[1]
-        self._yt = np.empty(self.x.shape[0])
-        self._yt[: self.n1] = data.labeled_y
-
-    def targets(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        if t.shape != (self.n_unl,):
-            raise ParameterError(f"t has shape {t.shape}, expected ({self.n_unl},)")
-        self._yt[self.n1 :] = t
-        return self._yt
-
-    def objective(self, w: np.ndarray, yt: np.ndarray) -> float:
-        z = self.x @ w
-        fit = self.v @ (yt * z - np.logaddexp(0.0, z))
-        kw = _penalty_vector(w)
-        return float(fit - 0.5 * self.n1 * self.lam * (kw @ kw))
-
-    def gradient(self, w: np.ndarray, yt: np.ndarray) -> np.ndarray:
-        z = self.x @ w
-        resid = self.v * (yt - expit(z))
-        return resid @ self.x - self.n1 * self.lam * _penalty_vector(w)
-
-    def hessian(self, w: np.ndarray, yt: np.ndarray) -> np.ndarray:
-        pi = expit(self.x @ w)
-        d = self.v * pi * (1.0 - pi)
-        h = -(self.x * d[:, None]).T @ self.x
-        idx = np.arange(1, self.dim)
-        h[idx, idx] -= self.n1 * self.lam
-        return 0.5 * (h + h.T)
-
-    def newton(
-        self, w0: np.ndarray, yt: np.ndarray, config: NewtonConfig
-    ) -> tuple[np.ndarray, NewtonDiagnostics]:
-        """Maximize the objective at fixed targets by damped Newton steps.
-
-        Full steps are halved until the objective strictly increases; the
-        loop ends on a small gradient, a sub-tolerance improvement, or an
-        exhausted line search.
-        """
-        w = np.array(w0, dtype=np.float64, copy=True)
-        if w.shape != (self.dim,):
-            raise ParameterError(f"w has shape {w.shape}, expected ({self.dim},)")
-        obj = self.objective(w, yt)
-        iters = 0
-        hit_max = True
-        for _ in range(config.max_iters):
-            g = self.gradient(w, yt)
-            if np.linalg.norm(g) <= config.grad_tol:
-                hit_max = False
-                break
-            delta = solve_newton_system(self.hessian(w, yt), g)
-            step = 1.0
-            accepted = False
-            for _ in range(config.max_halvings + 1):
-                w_try = w - step * delta
-                obj_try = self.objective(w_try, yt)
-                if np.isfinite(obj_try) and obj_try > obj:
-                    accepted = True
-                    break
-                step *= 0.5
-            iters += 1
-            if not accepted:
-                hit_max = False
-                break
-            improvement = obj_try - obj
-            w, obj = w_try, obj_try
-            if improvement <= config.obj_tol:
-                hit_max = False
-                break
-        grad_norm = float(np.linalg.norm(self.gradient(w, yt)))
-        if grad_norm <= config.grad_tol:
-            status = "converged"
-        elif hit_max:
-            status = "max-iterations"
-        else:
-            status = "stalled"
-        return w, NewtonDiagnostics(iters, obj, grad_norm, status)
+            status.append("stalled")
+    return _NewtonBatchState(w, obj, iters, grad_norm, status)
 
 
-def _check_soft_targets(t: np.ndarray, n_unl: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# One problem: the public entry points are batches of one
+# ---------------------------------------------------------------------------
+
+
+def weighted_rows(
+    data: SplitDataset,
+    weights: RatioWeights,
+    gamma1: float,
+    gamma2: float,
+    t: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design, row weights (r^gamma1, s^gamma2) and targets (y, t).
+
+    Labeled rows come first. Without t the unlabeled rows are left out,
+    which is the labeled-only (step-1) problem.
+    """
+    if weights.r_labeled.shape[0] != data.n_labeled:
+        raise ParameterError("r_labeled length must match the labeled count")
+    if weights.s_unlabeled.shape[0] != data.n_unlabeled:
+        raise ParameterError("s_unlabeled length must match the unlabeled count")
+    vr = power_weights(weights.r_labeled, gamma1)
+    y = data.labeled_y.astype(np.float64)
+    if t is None:
+        return data.labeled_design, vr, y
     t = np.asarray(t, dtype=np.float64)
-    if t.shape != (n_unl,):
-        raise ParameterError(f"t has shape {t.shape}, expected ({n_unl},)")
+    if t.shape != (data.n_unlabeled,):
+        raise ParameterError(f"t has shape {t.shape}, expected ({data.n_unlabeled},)")
     if t.size and not (np.all(t >= 0.0) and np.all(t <= 1.0)):
         raise ParameterError("soft targets must lie in [0, 1]")
-    return t
+    v = np.concatenate([vr, power_weights(weights.s_unlabeled, gamma2)])
+    return data.stacked_design, v, np.concatenate([y, t])
+
+
+def _batch_of_one(w, data, weights, t, params):
+    """(w, x, v, yt, lams, n1) for one coefficient vector, as the kernel takes them."""
+    x, v, yt = weighted_rows(data, weights, params.gamma1, params.gamma2, t)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (x.shape[1],):
+        raise ParameterError(f"w has shape {w.shape}, expected ({x.shape[1]},)")
+    return w[None], x, v, yt[None], np.array([params.lam]), data.n_labeled
 
 
 def weighted_objective(
@@ -238,9 +310,7 @@ def weighted_objective(
     params: TuningParams,
 ) -> float:
     """Full objective: weighted labeled fit + weighted soft fit - ridge."""
-    ws = Workspace(data, weights, params)
-    yt = ws.targets(_check_soft_targets(t, data.n_unlabeled))
-    return ws.objective(np.asarray(w, dtype=np.float64), yt)
+    return float(_batch_objective(*_batch_of_one(w, data, weights, t, params))[0])
 
 
 def gradient(
@@ -250,9 +320,7 @@ def gradient(
     t: np.ndarray,
     params: TuningParams,
 ) -> np.ndarray:
-    ws = Workspace(data, weights, params)
-    yt = ws.targets(_check_soft_targets(t, data.n_unlabeled))
-    return ws.gradient(np.asarray(w, dtype=np.float64), yt)
+    return _batch_gradient(*_batch_of_one(w, data, weights, t, params))[0]
 
 
 def hessian(
@@ -262,9 +330,7 @@ def hessian(
     t: np.ndarray,
     params: TuningParams,
 ) -> np.ndarray:
-    ws = Workspace(data, weights, params)
-    yt = ws.targets(_check_soft_targets(t, data.n_unlabeled))
-    return ws.hessian(np.asarray(w, dtype=np.float64), yt)
+    return _batch_hessian(*_batch_of_one(w, data, weights, t, params))[0]
 
 
 def newton_maximize(
@@ -275,7 +341,10 @@ def newton_maximize(
     params: TuningParams,
     config: NewtonConfig | None = None,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
-    """Public entry point around Workspace.newton."""
-    ws = Workspace(data, weights, params)
-    yt = ws.targets(_check_soft_targets(t, data.n_unlabeled))
-    return ws.newton(np.asarray(init, dtype=np.float64), yt, config or NewtonConfig())
+    """Maximize the objective at fixed targets t from init."""
+    w, x, v, yt, lams, n1 = _batch_of_one(init, data, weights, t, params)
+    obj0 = _batch_objective(w, x, v, yt, lams, n1)
+    state = _newton_batch(x, v, yt, lams, n1, w, obj0, config or NewtonConfig())
+    if state.status[0] == _FAILED:
+        raise NumericalError("singular Hessian")
+    return state.w[0], state.diagnostics(0)

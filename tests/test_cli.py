@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import sslogit
 import sslogit.cli as cli_mod
 from sslogit.cli import main
 from sslogit.data import make_rng
@@ -271,6 +276,37 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--data", "x0,x1\n1.0,2.0\n3.0\n", "row 3 has 1 fields, expected 2"),
+            ("--data", "x0,x1\n1.0,oops\n", "row 2 has a non-numeric feature"),
+            ("--data", "x0,x1\n", "no data rows"),
+            ("--data", "", "empty file"),
+            ("--labeled", "x0,label\n1.0,1\n2.0\n", "row 3 has 1 fields, expected 2"),
+            ("--labeled", "x0,label\noops,1\n", "row 2 has a non-numeric feature"),
+            ("--labeled", "x0,y\n1.0,1\n", "final column must be named 'label'"),
+            ("--labeled", "x0,label\n1.0,2\n", "row 2 label '2' not in {0,1}"),
+            ("--labeled", "x0,label\n", "no data rows"),
+            ("--labeled", "", "empty file"),
+        ],
+    )
+    def test_malformed_csv_is_a_data_error(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        if flag == "--data":
+            model = tmp_path / "m.json"
+            model.write_text(json.dumps({
+                "format": "sslogit-model", "version": 1,
+                "n_features": 2, "coefficients": [0.0, 0.0, 0.0],
+            }))
+            argv = ["predict", "--model", str(model), "--data", str(path)]
+        else:
+            argv = ["fit", "--labeled", str(path), "--method", "slr",
+                    "--model-out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_flag(self, workdir, capsys):
         code = main([
             "select", "--labeled", str(workdir / "labeled.csv"), "--bogus",
@@ -339,6 +375,28 @@ class TestReplicate:
         for summary in run["summaries"]:
             assert summary["n_failed"] == 0
             assert np.isfinite(summary["mean_pe_percent"])
+
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # The thread count is read when numpy loads, so each run gets its
+        # own interpreter with the variables set before the import.
+        src = str(Path(sslogit.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.json"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=src,
+            )
+            subprocess.run(
+                [sys.executable, "-m", "sslogit.cli", "replicate", "sim1",
+                 "--n", "25", "--trials", "2", "--seed", "7",
+                 "--output", str(path)],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_benchmark_csvs_via_env_dir(self, tmp_path, monkeypatch, capsys):
         spec = BENCHMARK_SPECS["pima"]

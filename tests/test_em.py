@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sslogit.objective as objective_mod
 from sslogit.data import SplitDataset, build_design, make_rng
 from sslogit.em import (
     EmConfig,
@@ -16,7 +19,14 @@ from sslogit.em import (
     m_step,
     predict,
 )
-from sslogit.objective import NewtonConfig, TuningParams, posterior, weighted_objective
+from sslogit.errors import NumericalError
+from sslogit.objective import (
+    NewtonConfig,
+    TuningParams,
+    newton_maximize,
+    posterior,
+    weighted_objective,
+)
 from sslogit.ratios import RatioWeights, unit_weights
 
 
@@ -208,6 +218,97 @@ class TestFitSemisupervised:
         a = fit_semisupervised(data, weights, params)
         b = fit_semisupervised(data, weights, params)
         np.testing.assert_array_equal(a.w, b.w)
+
+
+def random_fit_problem(seed, n1, n0, p, lam, gamma1, gamma2):
+    """A random instance with both classes among the labeled rows."""
+    data, weights, _ = make_instance(n1, n0, p, seed)
+    y = data.labeled_y.copy()
+    y[:2] = (0, 1)
+    data = SplitDataset(data.labeled_x, y, data.unlabeled_x)
+    return data, weights, TuningParams(gamma1, gamma2, lam)
+
+
+fit_problems = st.builds(
+    random_fit_problem,
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.integers(10, 30),
+    n0=st.integers(1, 30),
+    p=st.integers(1, 4),
+    lam=st.floats(1e-2, 10.0),
+    gamma1=st.floats(0.0, 1.0),
+    gamma2=st.floats(0.0, 1.0),
+)
+
+# Invariances hold in exact arithmetic; the Newton stopping rule leaves
+# gaps of a few 1e-8 between the two fits.
+INVARIANCE_ATOL = 1e-6
+
+
+class TestFitInvariances:
+    @given(problem=fit_problems)
+    @settings(max_examples=40, deadline=None)
+    def test_flipping_labels_negates_coefficients(self, problem):
+        data, weights, params = problem
+        flipped = SplitDataset(data.labeled_x, 1 - data.labeled_y, data.unlabeled_x)
+        a = fit_semisupervised(data, weights, params)
+        b = fit_semisupervised(flipped, weights, params)
+        np.testing.assert_allclose(b.w, -a.w, rtol=0, atol=INVARIANCE_ATOL)
+
+    @given(problem=fit_problems, order_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_row_order_does_not_change_the_fit(self, problem, order_seed):
+        data, weights, params = problem
+        rng = make_rng(order_seed)
+        lab = rng.permutation(data.n_labeled)
+        unl = rng.permutation(data.n_unlabeled)
+        shuffled = SplitDataset(
+            data.labeled_x[lab], data.labeled_y[lab], data.unlabeled_x[unl]
+        )
+        shuffled_weights = RatioWeights(
+            weights.r_labeled[lab], weights.s_unlabeled[unl]
+        )
+        a = fit_semisupervised(data, weights, params)
+        b = fit_semisupervised(shuffled, shuffled_weights, params)
+        np.testing.assert_allclose(b.w, a.w, rtol=0, atol=INVARIANCE_ATOL)
+
+    @given(problem=fit_problems, order_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_features_permutes_coefficients(self, problem, order_seed):
+        data, weights, params = problem
+        cols = make_rng(order_seed).permutation(data.n_features)
+        permuted = SplitDataset(
+            data.labeled_x[:, cols], data.labeled_y, data.unlabeled_x[:, cols]
+        )
+        a = fit_semisupervised(data, weights, params)
+        b = fit_semisupervised(permuted, weights, params)
+        assert b.w[0] == pytest.approx(a.w[0], rel=0, abs=INVARIANCE_ATOL)
+        np.testing.assert_allclose(b.w[1:], a.w[1:][cols], rtol=0, atol=INVARIANCE_ATOL)
+
+
+class TestSingularHessian:
+    """A failed Newton solve surfaces as NumericalError from every wrapper."""
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda d, r, p: newton_maximize(np.zeros(3), d, r, np.full(8, 0.5), p),
+            lambda d, r, p: m_step(np.zeros(3), d, r, np.full(8, 0.5), p),
+            fit_step1,
+            fit_supervised,
+            fit_semisupervised,
+        ],
+        ids=["newton_maximize", "m_step", "fit_step1", "fit_supervised",
+             "fit_semisupervised"],
+    )
+    def test_wrappers_raise(self, fit, monkeypatch):
+        def fail_every_row(h, g):
+            return np.zeros_like(g), np.ones(g.shape[0], dtype=bool)
+
+        monkeypatch.setattr(objective_mod, "_batch_solve", fail_every_row)
+        data, weights, params = make_instance(12, 8, 2, seed=22)
+        with pytest.raises(NumericalError, match="singular Hessian"):
+            fit(data, weights, params)
 
 
 class TestFitSupervised:

@@ -11,7 +11,6 @@ from sslogit.errors import NumericalError, ParameterError
 from sslogit.objective import (
     NewtonConfig,
     TuningParams,
-    Workspace,
     gradient,
     hessian,
     loglik_labeled,
@@ -118,6 +117,29 @@ class TestObjective:
         with pytest.raises(ParameterError):
             weighted_objective(w, data, weights, np.array([0.5, 0.5, 0.5, 1.5]), params)
 
+    @pytest.mark.parametrize("fn", [weighted_objective, gradient, hessian, newton_maximize])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("r", "r_labeled length"),
+            ("s", "s_unlabeled length"),
+            ("t", "t has shape"),
+            ("w", "w has shape"),
+        ],
+    )
+    def test_input_shapes_validated(self, fn, bad, message):
+        data, weights, t, params, w = make_instance(5, 4, 2, seed=1)
+        if bad == "r":
+            weights = RatioWeights(weights.r_labeled[:-1], weights.s_unlabeled)
+        elif bad == "s":
+            weights = RatioWeights(weights.r_labeled, weights.s_unlabeled[:-1])
+        elif bad == "t":
+            t = t[:-1]
+        else:
+            w = w[:-1]
+        with pytest.raises(ParameterError, match=message):
+            fn(w, data, weights, t, params)
+
 
 class TestDerivatives:
     def test_gradient_matches_central_differences(self):
@@ -223,10 +245,3 @@ class TestNewton:
         )
         assert diag.status in ("max-iterations", "converged")
         assert diag.iterations <= 1
-
-    def test_workspace_reuses_targets_buffer(self):
-        data, weights, t, params, _ = make_instance(6, 4, 2, seed=11)
-        ws = Workspace(data, weights, params)
-        yt = ws.targets(t)
-        np.testing.assert_array_equal(yt[: data.n_labeled], data.labeled_y)
-        np.testing.assert_array_equal(yt[data.n_labeled :], t)
