@@ -1,14 +1,14 @@
 """Semi-supervised logistic discrimination under covariate shift.
 
-Density-ratio-weighted EM fitting of a ridge-penalized logistic model,
-information-criterion tuning of the weight exponents and ridge strength,
-and replication harnesses for the accompanying simulation and benchmark
-studies.
+Density-ratio-weighted ridge logistic fitting, information-criterion tuning
+of the weight exponent and ridge strength, and replication harnesses for
+the accompanying simulation and benchmark studies. The paper's EM
+alternation over the unlabeled block is kept only as e_step and m_step:
+its fixed point is the labeled-only fit (see sslogit.em).
 """
 
 from .data import Seed, SplitDataset, build_design, make_rng, split_labeled_unlabeled
 from .em import (
-    EmConfig,
     FittedModel,
     e_step,
     fit_semisupervised,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import SplitDataset, read_csv
-from .em import EmConfig, FittedModel, fit_semisupervised, fit_supervised, predict
+from .em import FittedModel, fit_semisupervised, predict
 from .errors import DataError, NumericalError, ParameterError, SslogitError
 from .experiments import (
     BENCHMARK_FRACTIONS,
@@ -132,7 +132,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-gamma1", type=str, default=None,
                    help="comma-separated gamma1 grid (default 0.0..1.0 step 0.1)")
     p.add_argument("--grid-gamma2", type=str, default=None,
-                   help="comma-separated gamma2 grid (default 0.0..1.0 step 0.1)")
+                   help="comma-separated gamma2 grid; accepted; has no effect")
     p.add_argument("--grid-log10-lambda", type=str, default=None,
                    help="comma-separated log10(lambda) grid (default -4.0..2.5 step 0.5)")
 
@@ -166,16 +166,6 @@ def _grid_echo(grid: Grid) -> dict:
         "gamma2": list(grid.gamma2_values),
         "log10_lambda": list(grid.log10_lambda_values),
     }
-
-
-def _add_em_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1e-5,
-                   help="EM stopping threshold on successive objectives")
-    p.add_argument("--max-em-iters", type=int, default=500)
-
-
-def _em_config(args) -> EmConfig:
-    return EmConfig(epsilon=args.epsilon, max_em_iters=args.max_em_iters)
 
 
 def _add_ratio_flags(p: argparse.ArgumentParser) -> None:
@@ -232,7 +222,6 @@ def cmd_select(args) -> int:
     else:
         weights = unit_weights(data)
     grid = _grid_from_args(args)
-    cfg = _em_config(args)
 
     col_labels = list(methods)
     field_rows = {name: [] for name in (
@@ -241,7 +230,7 @@ def cmd_select(args) -> int:
     )}
     json_methods = {}
     for m in methods:
-        sel = grid_search(data, weights, grid=grid, method=m, config=cfg)
+        sel = grid_search(data, weights, grid=grid, method=m)
         best, report = sel.best_model, sel.best_report
         pe = None
         if data.test_x is not None:
@@ -294,8 +283,6 @@ def cmd_select(args) -> int:
                 "methods": list(methods),
                 "grid": _grid_echo(grid),
                 "seed": args.seed,
-                "epsilon": args.epsilon,
-                "max_em_iters": args.max_em_iters,
                 "ratio_floor": args.ratio_floor,
                 "ratio_cap": args.ratio_cap,
                 "standardize": bool(args.standardize),
@@ -322,14 +309,11 @@ def cmd_fit(args) -> int:
     params = TuningParams(
         gamma1=args.gamma1, gamma2=args.gamma2, lam=10.0**args.log10_lambda
     )
-    cfg = _em_config(args)
     if method == "sslrcs":
         weights = weights_from_ulsif(data, _ulsif_config(args), seed=args.seed)
-        model = fit_semisupervised(data, weights, params, cfg)
-    elif method == "lsslr":
-        model = fit_semisupervised(data, unit_weights(data), params, cfg)
     else:
-        model = fit_supervised(data, unit_weights(data), params, cfg)
+        weights = unit_weights(data)
+    model = fit_semisupervised(data, weights, params)
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -440,9 +424,6 @@ def _replicate_tables(setting_label, settings, runs, methods) -> str:
             rows.append(
                 ("gamma1 sslrcs", [_fmt2(r.summary(m).mean_gamma1) for r in runs])
             )
-            rows.append(
-                ("gamma2 sslrcs", [_fmt2(r.summary(m).mean_gamma2) for r in runs])
-            )
         rows.append(
             (f"log10 lambda {m}", [_fmt2(r.summary(m).mean_log10_lambda) for r in runs])
         )
@@ -457,7 +438,6 @@ def _replicate_tables(setting_label, settings, runs, methods) -> str:
 def cmd_replicate(args) -> int:
     methods = _split_methods(args.methods)
     grid = _grid_from_args(args)
-    cfg = _em_config(args)
     study = args.study
 
     experiments = []
@@ -515,7 +495,6 @@ def cmd_replicate(args) -> int:
             n_trials=args.trials,
             base_seed=args.seed,
             grid=grid,
-            config=cfg,
         )
         runs.append((label, run))
 
@@ -535,8 +514,6 @@ def cmd_replicate(args) -> int:
                 "trials": args.trials,
                 "seed": args.seed,
                 "grid": _grid_echo(grid),
-                "epsilon": args.epsilon,
-                "max_em_iters": args.max_em_iters,
                 "settings": [label for label, _ in runs],
                 "dataset": getattr(args, "dataset", None),
                 "standardize": bool(getattr(args, "standardize", False)),
@@ -558,7 +535,8 @@ def _build_parser() -> _Parser:
         prog="sslogit",
         description=(
             "Semi-supervised logistic discrimination under covariate shift: "
-            "density-ratio-weighted EM fitting with information-criterion tuning."
+            "density-ratio-weighted ridge logistic fitting with "
+            "information-criterion tuning."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,7 +552,6 @@ def _build_parser() -> _Parser:
                        help="z-score features using the labeled+unlabeled pool")
     p_sel.add_argument("--output", default=None, help="write full results JSON here")
     _add_grid_flags(p_sel)
-    _add_em_flags(p_sel)
     _add_ratio_flags(p_sel)
     p_sel.set_defaults(func=cmd_select)
 
@@ -584,12 +561,12 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--test", default=None)
     p_fit.add_argument("--method", default="sslrcs", help="sslrcs, lsslr, or slr")
     p_fit.add_argument("--gamma1", type=float, default=0.0)
-    p_fit.add_argument("--gamma2", type=float, default=0.0)
+    p_fit.add_argument("--gamma2", type=float, default=0.0,
+                       help="accepted; has no effect")
     p_fit.add_argument("--log10-lambda", type=float, default=-2.0)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--standardize", action="store_true")
     p_fit.add_argument("--model-out", dest="model_out", required=True)
-    _add_em_flags(p_fit)
     _add_ratio_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -620,7 +597,6 @@ def _build_parser() -> _Parser:
                        help="bench only: z-score features using the training pool")
     p_rep.add_argument("--output", default=None, help="write full results JSON here")
     _add_grid_flags(p_rep)
-    _add_em_flags(p_rep)
     p_rep.set_defaults(func=cmd_replicate)
     return parser
 

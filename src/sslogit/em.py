@@ -1,24 +1,36 @@
-"""EM fitting: supervised warm start, posterior imputation, weighted refits.
+"""Model fitting: the weighted ridge logistic fit and its EM fixed point.
 
-fit_lambda_batch runs the alternation for a whole ridge-grid column at once,
-with masked retirement of converged candidates; fit_step1_batch gives it
-its warm starts. The grid search calls both, because a full search touches
-thousands of fits, and scores each returned column with one gic.gic_column
-call. fit_step1, fit_supervised and fit_semisupervised are columns of one
-lambda, and m_step is one objective.newton_maximize call. Designs come from
-the dataset's cached copies, so a column rebuilds none of them.
+The paper fits its semi-supervised model by EM: impute soft targets
+t = expit(X_u w) for the unlabeled rows, refit the full weighted objective,
+repeat. In this objective that alternation cannot move the fit. At
+t = expit(X_u w) the unlabeled score sum_u s^gamma2 (t_u - expit(x_u w)) x_u
+is exactly zero, so the gradient of the full objective equals that of the
+labeled-only objective, and every EM fixed point is a stationary point of
+the labeled-only problem. That problem is strictly concave and, when both
+classes are labeled, has a maximizer; its stationary point is unique and
+is the step-1 fit, because both steps use the same n1-scaled penalty. This
+holds for every gamma2, every s and every start: a discriminative model
+cannot learn from p(x) alone (Zhang & Oles, ICML 2000; Seeger, "Learning
+with labeled and unlabeled data", 2000).
+
+So a fitted model is the step-1 fit, with t_hat = e_step(w) and no EM
+iterations. fit_lambda_batch fits a whole ridge column with one
+fit_step1_batch call; fit_semisupervised (alias fit_supervised) is a
+column of one lambda. gamma2 is carried in the model's parameters and
+changes nothing. e_step and m_step stay as the two halves of the
+alternation, for checking the fixed point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .data import SplitDataset, build_design
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 from .objective import (
     _FAILED,
     NewtonConfig,
@@ -31,21 +43,6 @@ from .objective import (
     weighted_rows,
 )
 from .ratios import RatioWeights
-
-
-@dataclass(frozen=True)
-class EmConfig:
-    """Stopping rule |obj_k - obj_{k-1}| < epsilon plus iteration caps."""
-
-    epsilon: float = 1e-5
-    max_em_iters: int = 500
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParameterError("epsilon must be positive")
-        if self.max_em_iters < 1:
-            raise ParameterError("max_em_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -93,41 +90,24 @@ def m_step(
     return newton_maximize(w_init, data, weights, t_hat, params, config)[0]
 
 
-def _fit_one(data, weights, params, config, labeled_only) -> FittedModel:
+def fit_semisupervised(
+    data: SplitDataset,
+    weights: RatioWeights,
+    params: TuningParams,
+    config: Optional[NewtonConfig] = None,
+) -> FittedModel:
+    """The EM fixed point for one candidate, which is its step-1 fit (see
+    the module docstring); NumericalError if the Newton solve failed."""
     fits = fit_lambda_batch(
-        data, weights, params.gamma1, params.gamma2, [params.lam], config,
-        labeled_only=labeled_only,
+        data, weights, params.gamma1, params.gamma2, [params.lam], config
     )
     if fits.models[0] is None:
         raise NumericalError(fits.errors[0])
     return fits.models[0]
 
 
-def fit_supervised(
-    data: SplitDataset,
-    weights: RatioWeights,
-    params: TuningParams,
-    config: Optional[EmConfig] = None,
-) -> FittedModel:
-    """Labeled-only fit; the unlabeled block is ignored entirely."""
-    return _fit_one(data, weights, params, config, labeled_only=True)
-
-
-def fit_semisupervised(
-    data: SplitDataset,
-    weights: RatioWeights,
-    params: TuningParams,
-    config: Optional[EmConfig] = None,
-) -> FittedModel:
-    """Alternate posterior imputation with weighted refits until the
-    objective stabilizes.
-
-    The first convergence check compares the first refit against the warm
-    start evaluated under the same imputation, so an infinite epsilon stops
-    after exactly one EM iteration. Without unlabeled rows this is the
-    supervised fit.
-    """
-    return _fit_one(data, weights, params, config, labeled_only=False)
+# The labeled-only fit is the same fit: the unlabeled block never moves it.
+fit_supervised = fit_semisupervised
 
 
 def predict(model: FittedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,84 +151,33 @@ def fit_lambda_batch(
     gamma1: float,
     gamma2: float,
     lams: np.ndarray,
-    config: Optional[EmConfig] = None,
-    labeled_only: bool = False,
-    step1: Optional[_NewtonBatchState] = None,
+    config: Optional[NewtonConfig] = None,
 ) -> _BatchFits:
-    """Fit every ridge value of one (gamma1, gamma2) cell in lockstep.
+    """Fitted models for every ridge value of one gamma1, from one
+    fit_step1_batch column.
 
-    labeled_only keeps every candidate at its step-1 fit (the supervised
-    baseline); otherwise each alternates imputation and refit until its
-    objective moves by less than epsilon. A failed candidate's model is
-    None and its error is "singular Hessian".
+    gamma2 is recorded in each model's parameters and has no other effect.
+    A failed candidate's model is None and its error is "singular Hessian".
     """
-    cfg = config or EmConfig()
     lams = np.asarray(lams, dtype=np.float64)
-    n_batch = lams.size
-    if step1 is None:
-        step1 = fit_step1_batch(data, weights, gamma1, lams, cfg.newton)
-
-    # Labeled-only candidates skip the EM loop and keep their step-1 fits.
-    n_unl = 0 if labeled_only else data.n_unlabeled
-    n1 = data.n_labeled
-    # Each E-step overwrites the unlabeled targets of its active rows.
-    x, v, y = weighted_rows(data, weights, gamma1, gamma2, np.zeros(data.n_unlabeled))
-    yt = np.tile(y, (n_batch, 1))
-
-    w = step1.w.copy()
-    failed = np.array([s == _FAILED for s in step1.status])
-    t_hat = np.zeros((n_batch, n_unl))
-    obj_cur = step1.objective.copy()
-    obj_prev = np.zeros(n_batch)
-    em_iters = np.zeros(n_batch, dtype=np.int64)
-    converged = np.full(n_batch, n_unl == 0)
-    last_diag: list[Optional[NewtonDiagnostics]] = [None] * n_batch
-
-    active = np.flatnonzero(~failed) if n_unl else np.empty(0, dtype=np.intp)
-    for k in range(1, cfg.max_em_iters + 1):
-        if active.size == 0:
-            break
-        t_act = expit(w[active] @ data.unlabeled_design.T)
-        t_hat[active] = t_act
-        yt[active, n1:] = t_act
-        # The objective at the warm start under the new targets; at k = 1
-        # it is also the reference for the first convergence check.
-        obj0 = _batch_objective(w[active], x, v, yt[active], lams[active], n1)
-        if k == 1:
-            obj_prev[active] = obj0
-        state = _newton_batch(
-            x, v, yt[active], lams[active], n1, w[active], obj0, cfg.newton
-        )
-        newly_failed = np.array([s == _FAILED for s in state.status])
-        w[active] = state.w
-        obj_cur[active] = state.objective
-        em_iters[active] = k
-        for pos, i in enumerate(active):
-            last_diag[i] = state.diagnostics(pos)
-        if newly_failed.any():
-            failed[active[newly_failed]] = True
-        done = np.abs(state.objective - obj_prev[active]) < cfg.epsilon
-        converged[active[done & ~newly_failed]] = True
-        obj_prev[active] = state.objective
-        active = active[~done & ~newly_failed]
-
+    state = fit_step1_batch(data, weights, gamma1, lams, config or NewtonConfig())
     models: list[Optional[FittedModel]] = []
     errors: list[Optional[str]] = []
-    for i in range(n_batch):
-        if failed[i]:
+    for i, lam in enumerate(lams):
+        if state.status[i] == _FAILED:
             models.append(None)
             errors.append("singular Hessian")
             continue
-        diag = last_diag[i] or step1.diagnostics(i)
+        w = state.w[i].copy()
         models.append(
             FittedModel(
-                w=w[i].copy(),
-                t_hat=t_hat[i].copy(),
-                params=TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lams[i])),
-                em_iterations=int(em_iters[i]),
-                final_objective=float(obj_cur[i]),
-                converged=bool(converged[i]),
-                newton_diagnostics=diag,
+                w=w,
+                t_hat=e_step(w, data),
+                params=TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lam)),
+                em_iterations=0,
+                final_objective=float(state.objective[i]),
+                converged=True,
+                newton_diagnostics=state.diagnostics(i),
             )
         )
         errors.append(None)

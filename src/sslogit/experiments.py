@@ -18,8 +18,9 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Seed, SplitDataset, derive_seed, make_rng, read_csv, split_labeled_unlabeled
-from .em import EmConfig, predict
+from .em import predict
 from .errors import DataError, ParameterError, SslogitError
+from .objective import NewtonConfig
 from .ratios import (
     DiagGaussian,
     RatioWeights,
@@ -473,7 +474,7 @@ def run_trials(
     n_trials: int = 50,
     base_seed: Seed = 0,
     grid: Optional[Grid] = None,
-    config: Optional[EmConfig] = None,
+    config: Optional[NewtonConfig] = None,
 ) -> RunResult:
     """Trial i uses seed base_seed + i; per-trial failures are recorded and
     excluded from the means."""

@@ -4,13 +4,13 @@ The criterion is a weighted deviance on the labeled block plus twice the
 trace of Q R^{-1}, where Q collects outer products of the per-point score
 contributions and R is the penalized observed information, both averaged
 over the labeled count. Only labeled points and the r-direction weights
-enter; the unlabeled block influences the criterion through the fitted
-coefficients alone.
+enter; the unlabeled block influences the criterion through the ratio
+weights alone.
 
 One kernel, gic_column, scores a whole ridge column at once: B coefficient
 rows that share the labeled block and weights, each with its own ridge
-value. The grid search calls it once per (gamma1, gamma2) cell; the
-single-model functions below are batch-of-one wrappers around it.
+value. The grid search calls it once per gamma1 column; the single-model
+functions below are batch-of-one wrappers around it.
 """
 
 from __future__ import annotations

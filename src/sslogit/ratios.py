@@ -296,10 +296,12 @@ def weights_from_ulsif(
     config: Optional[UlsifConfig] = None,
     seed: Seed = 0,
 ) -> RatioWeights:
-    """Estimate both direction ratios on one split.
+    """Estimate r = q_unlabeled/q_labeled on one split with one fit.
 
     The width grid is the configured factors times the median pairwise
-    distance of the pooled covariates, shared by both direction fits.
+    distance of the pooled covariates. s_unlabeled is 1/r at the unlabeled
+    points from the same model, clipped like r; it cannot move a fit (see
+    sslogit.em).
     """
     cfg = config or UlsifConfig()
     if data.n_unlabeled == 0:
@@ -318,17 +320,8 @@ def weights_from_ulsif(
         ratio_floor=cfg.ratio_floor,
         ratio_cap=cfg.ratio_cap,
     )
-    s_model = ulsif_fit(
-        numerator_samples=data.labeled_x,
-        denominator_samples=data.unlabeled_x,
-        candidate_sigmas=sigmas,
-        candidate_rhos=cfg.rho_values,
-        seed=derive_seed(seed, 2),
-        max_centers=cfg.max_centers,
-        ratio_floor=cfg.ratio_floor,
-        ratio_cap=cfg.ratio_cap,
-    )
+    r_unlabeled = ulsif_predict(r_model, data.unlabeled_x)
     return RatioWeights(
         r_labeled=ulsif_predict(r_model, data.labeled_x),
-        s_unlabeled=ulsif_predict(s_model, data.unlabeled_x),
+        s_unlabeled=np.clip(1.0 / r_unlabeled, cfg.ratio_floor, cfg.ratio_cap),
     )

@@ -1,11 +1,13 @@
 """Exhaustive tuning-parameter selection by information-criterion minimum.
 
-Three method flavors share the machinery: the weighted semi-supervised fit
-searches over (gamma1, gamma2, lambda); the unit-weight semi-supervised and
-labeled-only baselines search over lambda alone. Candidates are fitted a
-ridge column at a time (see em.fit_lambda_batch), and each column is scored
-by one gic.gic_column call with the matching weights: r^gamma1 for the
-weighted method, ones for the baselines.
+Three method flavors share the machinery: the weighted fit searches over
+(gamma1, lambda); the unit-weight and labeled-only baselines search over
+lambda alone and, since the EM step cannot move a fit (see em), coincide.
+The gamma2 grid is accepted and ignored: every candidate is recorded with
+gamma2 = 0. Candidates are fitted a ridge column at a time (see
+em.fit_lambda_batch), and each column is scored by one gic.gic_column call
+with the matching weights: r^gamma1 for the weighted method, ones for the
+baselines.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .data import SplitDataset
-from .em import EmConfig, FittedModel, fit_lambda_batch, fit_step1_batch
+from .em import FittedModel, fit_lambda_batch
+from .em import fit_step1_batch  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .errors import NumericalError, ParameterError
 from .gic import GicReport, gic_column
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .objective import TuningParams, power_weights
+from .objective import NewtonConfig, TuningParams, power_weights
 from .ratios import RatioWeights, unit_weights
 
 METHODS = ("sslrcs", "lsslr", "slr")
@@ -28,7 +31,10 @@ METHODS = ("sslrcs", "lsslr", "slr")
 
 @dataclass(frozen=True)
 class Grid:
-    """Candidate values; lambdas are specified on the log10 scale."""
+    """Candidate values; lambdas are specified on the log10 scale.
+
+    gamma2_values is validated but has no effect on the search.
+    """
 
     gamma1_values: tuple[float, ...]
     gamma2_values: tuple[float, ...]
@@ -78,14 +84,14 @@ class SelectionResult:
 
 class _Best:
     """Running argmin with the deterministic tie-break (gic, lambda,
-    gamma1, gamma2); converged candidates kept separately so they win
-    whenever any exists."""
+    gamma1); converged candidates kept separately so they win whenever any
+    exists."""
 
     def __init__(self):
         self._best = {True: None, False: None}
 
     def offer(self, model: FittedModel, report: GicReport):
-        key = (report.gic, model.params.lam, model.params.gamma1, model.params.gamma2)
+        key = (report.gic, model.params.lam, model.params.gamma1)
         slot = self._best[model.converged]
         if slot is None or key < slot[0]:
             self._best[model.converged] = (key, model, report)
@@ -100,25 +106,23 @@ def grid_search(
     weights: RatioWeights,
     grid: Optional[Grid] = None,
     method: str = "sslrcs",
-    config: Optional[EmConfig] = None,
+    config: Optional[NewtonConfig] = None,
 ) -> SelectionResult:
     """Fit and score every candidate; return the criterion minimizer.
 
-    The baselines ignore parts of their inputs by construction: the
-    unit-weight method drops the ratio weights and the gamma grids, the
-    labeled-only method additionally drops the unlabeled block.
+    The baselines drop the ratio weights and the gamma grids. No method
+    fits to the unlabeled block; it enters only through the ratio weights.
     """
     meth = str(method).lower()
     if meth not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     g = grid or default_grid()
-    cfg = config or EmConfig()
     lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
 
     records: list[CandidateRecord] = []
     best = _Best()
 
-    def handle(fits, gamma1: float, gamma2: float, eta: np.ndarray):
+    def handle(fits, gamma1: float, eta: np.ndarray):
         fitted = [m for m in fits.models if m is not None]
         col = gic_column(
             np.array([m.w for m in fitted]).reshape(-1, data.n_features + 1),
@@ -129,7 +133,7 @@ def grid_search(
         rows = iter(range(len(fitted)))
         for i, (model, err) in enumerate(zip(fits.models, fits.errors)):
             if model is None:
-                params = TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lams[i]))
+                params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(lams[i]))
                 records.append(CandidateRecord(params, None, False, err))
                 continue
             try:
@@ -142,19 +146,12 @@ def grid_search(
 
     if meth == "sslrcs":
         for gamma1 in g.gamma1_values:
-            step1 = fit_step1_batch(data, weights, gamma1, lams, cfg.newton)
-            eta = power_weights(weights.r_labeled, gamma1)
-            for gamma2 in g.gamma2_values:
-                fits = fit_lambda_batch(
-                    data, weights, gamma1, gamma2, lams, cfg, step1=step1
-                )
-                handle(fits, gamma1, gamma2, eta)
+            fits = fit_lambda_batch(data, weights, gamma1, 0.0, lams, config)
+            handle(fits, gamma1, power_weights(weights.r_labeled, gamma1))
     else:
         ones = unit_weights(data)
-        fits = fit_lambda_batch(
-            data, ones, 0.0, 0.0, lams, cfg, labeled_only=meth == "slr"
-        )
-        handle(fits, 0.0, 0.0, ones.r_labeled)
+        fits = fit_lambda_batch(data, ones, 0.0, 0.0, lams, config)
+        handle(fits, 0.0, ones.r_labeled)
 
     winner = best.winner()
     if winner is None:

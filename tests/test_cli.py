@@ -157,6 +157,33 @@ class TestFitPredictRoundTrip:
         np.testing.assert_allclose(probs, expit(w[0] + w[1] * z), rtol=1e-9)
 
 
+class TestFitFlags:
+    """gamma2 is accepted and has no effect; the EM flags are gone."""
+
+    def fit_args(self, workdir, gamma2, model):
+        return [
+            "fit", "--labeled", str(workdir / "labeled.csv"),
+            "--unlabeled", str(workdir / "unlabeled.csv"),
+            "--method", "sslrcs", "--gamma1", "0.5", "--gamma2", gamma2,
+            "--log10-lambda=-2", "--seed", "4", "--model-out", str(model),
+        ]
+
+    def test_gamma2_does_not_change_the_coefficients(self, workdir):
+        coefs = []
+        for gamma2 in ("0.5", "0.0"):
+            model = workdir / f"model-{gamma2}.json"
+            assert main(self.fit_args(workdir, gamma2, model)) == 0
+            doc = json.loads(model.read_text())
+            assert doc["params"]["gamma2"] == float(gamma2)
+            coefs.append(doc["coefficients"])
+        assert coefs[0] == coefs[1]
+
+    def test_removed_em_flag_is_a_usage_error(self, workdir, capsys):
+        argv = self.fit_args(workdir, "0.5", workdir / "m.json") + ["--epsilon", "1e-3"]
+        assert main(argv) == 1
+        assert "--epsilon" in capsys.readouterr().err
+
+
 class TestModelValidation:
     def make_inputs(self, tmp_path):
         with open(tmp_path / "x.csv", "w") as fh:

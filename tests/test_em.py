@@ -1,4 +1,4 @@
-"""Step1 bootstrap, E/M alternation, stopping rule, and prediction."""
+"""Step1 fit, E/M steps, the EM fixed point, and prediction."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import sslogit.objective as objective_mod
 from sslogit.data import SplitDataset, build_design, make_rng
 from sslogit.em import (
-    EmConfig,
     FittedModel,
     e_step,
     fit_lambda_batch,
@@ -172,25 +171,18 @@ class TestFitSemisupervised:
         assert a.em_iterations == b.em_iterations
         assert a.final_objective == b.final_objective
 
-    def test_infinite_epsilon_stops_after_one_iteration(self):
-        data, weights, params = make_instance(12, 8, 2, seed=11)
-        model = fit_semisupervised(
-            data, weights, params, EmConfig(epsilon=np.inf)
-        )
-        assert model.em_iterations == 1
-        assert model.converged
-
     def test_fixed_point_equals_step1(self):
         # The warm-started refit with posterior targets is already stationary
         # at the Step1 coefficients: the imputed targets zero the unlabeled
         # score there, and Step1 zeroed the weighted labeled score plus the
-        # ridge. The alternation therefore stops where it starts.
+        # ridge. The alternation therefore stops where it starts, and the
+        # fit is returned without running it.
         for seed in range(3):
             data, weights, params = make_instance(15, 12, 2, seed=seed)
             w_step1 = fit_step1(data, weights, params)
             model = fit_semisupervised(data, weights, params)
-            np.testing.assert_allclose(model.w, w_step1, rtol=0, atol=1e-12)
-            assert model.em_iterations == 1
+            np.testing.assert_array_equal(model.w, w_step1)
+            assert model.em_iterations == 0
             assert model.converged
 
     def test_soft_labels_from_last_imputation(self):
@@ -286,6 +278,24 @@ class TestFitInvariances:
         np.testing.assert_allclose(b.w[1:], a.w[1:][cols], rtol=0, atol=INVARIANCE_ATOL)
 
 
+class TestEmFixedPoint:
+    """Theorem: at t = e_step(w) the unlabeled score vanishes, so the EM
+    fixed point is the step-1 fit for every gamma2 and every s."""
+
+    @given(problem=fit_problems, s_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_semisupervised_fit_is_step1_fit(self, problem, s_seed):
+        data, weights, params = problem
+        log_s = make_rng(s_seed).uniform(np.log(1e-3), np.log(1e3), data.n_unlabeled)
+        weights = RatioWeights(weights.r_labeled, np.exp(log_s))
+        w_step1 = fit_step1(data, weights, params)
+        np.testing.assert_array_equal(fit_semisupervised(data, weights, params).w, w_step1)
+        # One EM iteration from the step-1 fit moves it by no more than the
+        # Newton stopping rule allows.
+        w_em = m_step(w_step1, data, weights, e_step(w_step1, data), params)
+        np.testing.assert_allclose(w_em, w_step1, rtol=0, atol=INVARIANCE_ATOL)
+
+
 class TestSingularHessian:
     """A failed Newton solve surfaces as NumericalError from every wrapper."""
 
@@ -352,7 +362,7 @@ class TestBatchedFits:
     def test_labeled_only_batch_matches_supervised(self):
         data, weights, _ = make_instance(16, 9, 2, seed=20)
         lams = [0.05, 0.5]
-        batch = fit_lambda_batch(data, weights, 0.2, 0.0, lams, labeled_only=True)
+        batch = fit_lambda_batch(data, weights, 0.2, 0.0, lams)
         for lam, model in zip(lams, batch.models):
             solo = fit_supervised(data, weights, TuningParams(0.2, 0.0, lam))
             np.testing.assert_allclose(model.w, solo.w, rtol=0, atol=1e-12)

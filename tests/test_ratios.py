@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sslogit.ratios as ratios_mod
 from sslogit.data import SplitDataset, make_rng
 from sslogit.errors import DataError, ParameterError
 from sslogit.ratios import (
@@ -278,6 +279,23 @@ class TestWeightsFromUlsif:
         b = weights_from_ulsif(data, seed=7)
         np.testing.assert_array_equal(a.r_labeled, b.r_labeled)
         np.testing.assert_array_equal(a.s_unlabeled, b.s_unlabeled)
+
+    def test_one_fit_gives_both_directions(self, monkeypatch):
+        data = make_split(40, 60, 2, seed=13)
+        fitted = []
+
+        def counting_fit(*args, **kwargs):
+            fitted.append(ulsif_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(ratios_mod, "ulsif_fit", counting_fit)
+        cfg = UlsifConfig(ratio_floor=0.7, ratio_cap=1.2)
+        w = weights_from_ulsif(data, cfg, seed=3)
+        assert len(fitted) == 1
+        r_model = fitted[0]
+        np.testing.assert_array_equal(w.r_labeled, ulsif_predict(r_model, data.labeled_x))
+        s_expected = np.clip(1.0 / ulsif_predict(r_model, data.unlabeled_x), 0.7, 1.2)
+        np.testing.assert_array_equal(w.s_unlabeled, s_expected)
 
     def test_config_widths_scale_with_median_distance(self):
         # A tiny one-factor grid still produces a valid fit; the factor is

@@ -6,10 +6,10 @@ import pytest
 import sslogit.select as select_mod
 from sslogit.data import SplitDataset, make_rng
 import sslogit.gic as gic_mod
-from sslogit.em import _BatchFits, fit_lambda_batch, fit_semisupervised
+from sslogit.em import _BatchFits, fit_lambda_batch, fit_semisupervised, fit_step1_batch
 from sslogit.errors import NumericalError, ParameterError
 from sslogit.gic import gic_lsslr, gic_score, gic_slr
-from sslogit.objective import TuningParams
+from sslogit.objective import NewtonConfig, TuningParams
 from sslogit.ratios import RatioWeights, unit_weights
 from sslogit.select import Grid, default_grid, grid_search
 
@@ -66,7 +66,7 @@ class TestGridSearch:
     def test_candidate_counts_per_method(self):
         data, weights = make_instance(12, 8, 2, seed=1)
         full = grid_search(data, weights, TINY, method="sslrcs")
-        assert len(full.candidates) == 2 * 2 * 3
+        assert len(full.candidates) == 2 * 3
         for method in ("lsslr", "slr"):
             res = grid_search(data, weights, TINY, method=method)
             assert len(res.candidates) == 3
@@ -75,7 +75,7 @@ class TestGridSearch:
         data, weights = make_instance(12, 8, 2, seed=2)
         grid = Grid((0.5,), (0.5,), (0.0,))
         res = grid_search(data, weights, grid, method="sslrcs")
-        assert res.best_model.params == TuningParams(0.5, 0.5, 1.0)
+        assert res.best_model.params == TuningParams(0.5, 0.0, 1.0)
         assert res.best_report.params == res.best_model.params
         assert len(res.candidates) == 1
 
@@ -156,20 +156,14 @@ class TestColumnScoring:
         data, weights = make_instance(15, 10, 2, seed=11)
         res = grid_search(data, weights, TINY, method=method)
         lams = np.power(10.0, np.asarray(TINY.log10_lambda_values))
-        if method == "sslrcs":
-            cells = [(g1, g2) for g1 in TINY.gamma1_values for g2 in TINY.gamma2_values]
-        else:
-            cells = [(0.0, 0.0)]
+        gamma1s = TINY.gamma1_values if method == "sslrcs" else (0.0,)
         solo = []
-        for g1, g2 in cells:
+        for g1 in gamma1s:
             if method == "sslrcs":
-                fits = fit_lambda_batch(data, weights, g1, g2, lams)
+                fits = fit_lambda_batch(data, weights, g1, 0.0, lams)
                 solo += [gic_score(m, data, weights) for m in fits.models]
             else:
-                ones = unit_weights(data)
-                fits = fit_lambda_batch(
-                    data, ones, 0.0, 0.0, lams, labeled_only=method == "slr"
-                )
+                fits = fit_lambda_batch(data, unit_weights(data), 0.0, 0.0, lams)
                 score = gic_lsslr if method == "lsslr" else gic_slr
                 solo += [score(m, data) for m in fits.models]
         assert len(res.candidates) == len(solo)
@@ -193,6 +187,34 @@ class TestColumnScoring:
         assert bad.report is None
         assert bad.error == "degenerate information matrix"
         assert all(c.report is not None for i, c in enumerate(res.candidates) if i != 1)
+
+
+class TestStep1Search:
+    """The weighted search is step-1 fits over (gamma1, lambda): the EM
+    step and the gamma2 grid cannot move a fit (see sslogit.em)."""
+
+    def test_candidates_are_step1_fits(self, monkeypatch):
+        data, weights = make_instance(15, 10, 2, seed=13)
+        scored = []
+
+        def spy(w, *args):
+            scored.append(np.array(w))
+            return gic_mod.gic_column(w, *args)
+
+        monkeypatch.setattr(select_mod, "gic_column", spy)
+        res = grid_search(data, weights, TINY, method="sslrcs")
+        n_lams = len(TINY.log10_lambda_values)
+        assert len(res.candidates) == len(TINY.gamma1_values) * n_lams
+        assert all(c.params.gamma2 == 0.0 for c in res.candidates)
+        lams = np.power(10.0, np.asarray(TINY.log10_lambda_values))
+        assert len(scored) == len(TINY.gamma1_values)
+        for g1, w in zip(TINY.gamma1_values, scored):
+            step1 = fit_step1_batch(data, weights, g1, lams, NewtonConfig())
+            np.testing.assert_array_equal(w, step1.w)
+        best = res.best_model.params
+        row = list(lams).index(best.lam)
+        step1 = fit_step1_batch(data, weights, best.gamma1, lams, NewtonConfig())
+        np.testing.assert_array_equal(res.best_model.w, step1.w[row])
 
 
 class TestAllCandidatesFailed:
