@@ -214,8 +214,7 @@ def _load_user_data(args, need_unlabeled: bool) -> SplitDataset:
 
 def cmd_select(args) -> int:
     methods = _split_methods(args.methods)
-    need_unl = any(m in ("sslrcs", "lsslr") for m in methods)
-    data = _load_user_data(args, need_unl)
+    data = _load_user_data(args, need_unlabeled="sslrcs" in methods)
     data, std = _standardized(data) if args.standardize else (data, None)
     if data.n_unlabeled > 0:
         weights = weights_from_ulsif(data, _ulsif_config(args), seed=args.seed)
@@ -225,8 +224,8 @@ def cmd_select(args) -> int:
 
     col_labels = list(methods)
     field_rows = {name: [] for name in (
-        "gamma1", "gamma2", "log10 lambda", "GIC", "weighted NLL",
-        "trace term", "EM iterations", "converged", "test PE (%)",
+        "gamma1", "log10 lambda", "GIC", "weighted NLL", "trace term",
+        "converged", "test PE (%)",
     )}
     json_methods = {}
     for m in methods:
@@ -239,12 +238,10 @@ def cmd_select(args) -> int:
 
             pe = prediction_error(labels, data.test_y)
         field_rows["gamma1"].append(_fmt2(best.params.gamma1))
-        field_rows["gamma2"].append(_fmt2(best.params.gamma2))
         field_rows["log10 lambda"].append(_fmt2(float(np.log10(best.params.lam))))
         field_rows["GIC"].append(f"{report.gic:.6g}")
         field_rows["weighted NLL"].append(f"{report.weighted_nll:.6g}")
         field_rows["trace term"].append(f"{report.trace_term:.6g}")
-        field_rows["EM iterations"].append(str(best.em_iterations))
         field_rows["converged"].append(str(best.converged).lower())
         field_rows["test PE (%)"].append(_fmt_pe(pe) if pe is not None else "-")
         json_methods[m] = {
@@ -256,7 +253,6 @@ def cmd_select(args) -> int:
             "gic": report.gic,
             "weighted_nll": report.weighted_nll,
             "trace_term": report.trace_term,
-            "em_iterations": best.em_iterations,
             "converged": best.converged,
             "test_pe_percent": pe,
             "coefficients": best.w.tolist(),
@@ -304,7 +300,7 @@ def cmd_fit(args) -> int:
     method = args.method.lower()
     if method not in METHODS:
         raise ParameterError(f"unknown method {args.method!r}")
-    data = _load_user_data(args, need_unlabeled=method in ("sslrcs", "lsslr"))
+    data = _load_user_data(args, need_unlabeled=method == "sslrcs")
     data, std = _standardized(data) if args.standardize else (data, None)
     params = TuningParams(
         gamma1=args.gamma1, gamma2=args.gamma2, lam=10.0**args.log10_lambda
@@ -329,19 +325,33 @@ def cmd_fit(args) -> int:
         "ratio_cap": args.ratio_cap,
         "standardization": std,
         "seed": args.seed,
-        "em_iterations": model.em_iterations,
         "converged": model.converged,
         "final_objective": model.final_objective,
     }
     _write_json(args.model_out, payload)
-    print(
-        f"fit {method}: em_iterations={model.em_iterations} "
-        f"converged={str(model.converged).lower()} -> {args.model_out}"
-    )
+    print(f"fit {method}: converged={str(model.converged).lower()} -> {args.model_out}")
     return 0
 
 
-def _load_model(path) -> dict:
+def _model_array(path, name: str, value, size: int) -> np.ndarray:
+    """A saved list of numbers as a float vector of the given length."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: {name} must be a list of numbers") from None
+    if arr.shape != (size,):
+        raise DataError(f"{path}: {name} length does not match n_features")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{path}: {name} values must be finite")
+    return arr
+
+
+def _load_model(path) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """The saved coefficients and standardization (mean, scale), if any.
+
+    Only the fields predict uses are read; DataError names the first one
+    that is missing or malformed.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -356,38 +366,36 @@ def _load_model(path) -> dict:
     for key in ("coefficients", "n_features"):
         if key not in doc:
             raise DataError(f"{path}: missing field {key!r}")
-    if len(doc["coefficients"]) != doc["n_features"] + 1:
-        raise DataError(f"{path}: coefficient length does not match n_features")
-    return doc
+    n = doc["n_features"]
+    if type(n) is not int or n < 1:
+        raise DataError(f"{path}: n_features must be a positive integer")
+    w = _model_array(path, "coefficient", doc["coefficients"], n + 1)
+    std = doc.get("standardization")
+    if std is not None:
+        if not isinstance(std, dict):
+            raise DataError(f"{path}: standardization must be an object")
+        mean, scale = (
+            _model_array(path, f"standardization {key}", std.get(key), n)
+            for key in ("mean", "scale")
+        )
+        if np.any(scale <= 0.0):
+            raise DataError(f"{path}: standardization scale must be positive")
+        std = (mean, scale)
+    return w, std
 
 
 def cmd_predict(args) -> int:
-    doc = _load_model(args.model)
+    w, std = _load_model(args.model)
     x, _ = read_csv(args.data, has_label=False)
-    if x.shape[1] != doc["n_features"]:
+    n_features = w.size - 1
+    if x.shape[1] != n_features:
         raise DataError(
-            f"{args.data}: {x.shape[1]} features, model expects {doc['n_features']}"
+            f"{args.data}: {x.shape[1]} features, model expects {n_features}"
         )
-    std = doc.get("standardization")
-    if std:
-        x = _apply_standardize(
-            x, np.asarray(std["mean"]), np.asarray(std["scale"])
-        )
-    w = np.asarray(doc["coefficients"], dtype=np.float64)
-    params = doc.get("params", {})
-    model = FittedModel(
-        w=w,
-        t_hat=np.empty(0),
-        params=TuningParams(
-            gamma1=params.get("gamma1", 0.0),
-            gamma2=params.get("gamma2", 0.0),
-            lam=10.0 ** params.get("log10_lambda", 0.0),
-        ),
-        em_iterations=int(doc.get("em_iterations", 0)),
-        final_objective=float(doc.get("final_objective", 0.0)),
-        converged=bool(doc.get("converged", True)),
-        newton_diagnostics=None,
-    )
+    if std is not None:
+        x = _apply_standardize(x, *std)
+    # predict reads the coefficients alone; the saved fit details are not loaded.
+    model = FittedModel(w, None, None, None, None, None, None)
     probs, labels = predict(model, x)
     lines = ["probability,label"]
     lines += [f"{repr(float(p))},{int(l)}" for p, l in zip(probs, labels)]

@@ -14,11 +14,14 @@ cannot learn from p(x) alone (Zhang & Oles, ICML 2000; Seeger, "Learning
 with labeled and unlabeled data", 2000).
 
 So a fitted model is the step-1 fit, with t_hat = e_step(w) and no EM
-iterations. fit_lambda_batch fits a whole ridge column with one
-fit_step1_batch call; fit_semisupervised (alias fit_supervised) is a
-column of one lambda. gamma2 is carried in the model's parameters and
-changes nothing. e_step and m_step stay as the two halves of the
-alternation, for checking the fixed point.
+iterations. fit_step1_batch fits a whole ridge column as arrays, and
+fitted_model turns one of its rows into a FittedModel: the grid search
+(sslogit.select) scores the arrays and builds a model for its winner
+alone. fit_lambda_batch builds a model for every row of a column;
+fit_semisupervised (alias fit_supervised) is a column of one lambda.
+gamma2 is carried in the model's parameters and changes nothing. e_step
+and m_step stay as the two halves of the alternation, for checking the
+fixed point.
 """
 
 from __future__ import annotations
@@ -62,12 +65,9 @@ def fit_step1(
     data: SplitDataset,
     weights: RatioWeights,
     params: TuningParams,
-    config: Optional[NewtonConfig] = None,
 ) -> np.ndarray:
     """Maximize the weighted labeled-only penalized likelihood from zero."""
-    state = fit_step1_batch(
-        data, weights, params.gamma1, [params.lam], config or NewtonConfig()
-    )
+    state = fit_step1_batch(data, weights, params.gamma1, [params.lam])
     if state.status[0] == _FAILED:
         raise NumericalError("singular Hessian")
     return state.w[0]
@@ -84,23 +84,19 @@ def m_step(
     weights: RatioWeights,
     t_hat: np.ndarray,
     params: TuningParams,
-    config: Optional[NewtonConfig] = None,
 ) -> np.ndarray:
     """Refit the full weighted objective at fixed targets, warm-started."""
-    return newton_maximize(w_init, data, weights, t_hat, params, config)[0]
+    return newton_maximize(w_init, data, weights, t_hat, params)[0]
 
 
 def fit_semisupervised(
     data: SplitDataset,
     weights: RatioWeights,
     params: TuningParams,
-    config: Optional[NewtonConfig] = None,
 ) -> FittedModel:
     """The EM fixed point for one candidate, which is its step-1 fit (see
     the module docstring); NumericalError if the Newton solve failed."""
-    fits = fit_lambda_batch(
-        data, weights, params.gamma1, params.gamma2, [params.lam], config
-    )
+    fits = fit_lambda_batch(data, weights, params.gamma1, params.gamma2, [params.lam])
     if fits.models[0] is None:
         raise NumericalError(fits.errors[0])
     return fits.models[0]
@@ -134,15 +130,31 @@ def fit_step1_batch(
     weights: RatioWeights,
     gamma1: float,
     lams: np.ndarray,
-    config: NewtonConfig,
 ) -> _NewtonBatchState:
     """Step-1 fits for one gamma1 and a whole ridge column (gamma2-free)."""
     x_lab, vr, y = weighted_rows(data, weights, gamma1, 0.0)
     lams = np.asarray(lams, dtype=np.float64)
-    yt = np.broadcast_to(y, (lams.size, data.n_labeled))
+    n1 = data.n_labeled
+    yt = np.broadcast_to(y, (lams.size, n1))
     w0 = np.zeros((lams.size, x_lab.shape[1]))
-    obj0 = _batch_objective(w0, x_lab, vr, yt, lams, data.n_labeled)
-    return _newton_batch(x_lab, vr, yt, lams, data.n_labeled, w0, obj0, config)
+    obj0 = _batch_objective(w0, x_lab, vr, yt, lams, n1)
+    return _newton_batch(x_lab, vr, yt, lams, n1, w0, obj0, NewtonConfig())
+
+
+def fitted_model(
+    data: SplitDataset, state: _NewtonBatchState, i: int, params: TuningParams
+) -> FittedModel:
+    """Row i of a fit_step1_batch column as a model, with t_hat = e_step(w)."""
+    w = state.w[i].copy()
+    return FittedModel(
+        w=w,
+        t_hat=e_step(w, data),
+        params=params,
+        em_iterations=0,
+        final_objective=float(state.objective[i]),
+        converged=True,
+        newton_diagnostics=state.diagnostics(i),
+    )
 
 
 def fit_lambda_batch(
@@ -151,7 +163,6 @@ def fit_lambda_batch(
     gamma1: float,
     gamma2: float,
     lams: np.ndarray,
-    config: Optional[NewtonConfig] = None,
 ) -> _BatchFits:
     """Fitted models for every ridge value of one gamma1, from one
     fit_step1_batch column.
@@ -160,7 +171,7 @@ def fit_lambda_batch(
     A failed candidate's model is None and its error is "singular Hessian".
     """
     lams = np.asarray(lams, dtype=np.float64)
-    state = fit_step1_batch(data, weights, gamma1, lams, config or NewtonConfig())
+    state = fit_step1_batch(data, weights, gamma1, lams)
     models: list[Optional[FittedModel]] = []
     errors: list[Optional[str]] = []
     for i, lam in enumerate(lams):
@@ -168,17 +179,7 @@ def fit_lambda_batch(
             models.append(None)
             errors.append("singular Hessian")
             continue
-        w = state.w[i].copy()
-        models.append(
-            FittedModel(
-                w=w,
-                t_hat=e_step(w, data),
-                params=TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lam)),
-                em_iterations=0,
-                final_objective=float(state.objective[i]),
-                converged=True,
-                newton_diagnostics=state.diagnostics(i),
-            )
-        )
+        params = TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lam))
+        models.append(fitted_model(data, state, i, params))
         errors.append(None)
     return _BatchFits(models, errors)

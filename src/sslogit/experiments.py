@@ -20,7 +20,6 @@ from scipy.special import expit
 from .data import Seed, SplitDataset, derive_seed, make_rng, read_csv, split_labeled_unlabeled
 from .em import predict
 from .errors import DataError, ParameterError, SslogitError
-from .objective import NewtonConfig
 from .ratios import (
     DiagGaussian,
     RatioWeights,
@@ -474,7 +473,6 @@ def run_trials(
     n_trials: int = 50,
     base_seed: Seed = 0,
     grid: Optional[Grid] = None,
-    config: Optional[NewtonConfig] = None,
 ) -> RunResult:
     """Trial i uses seed base_seed + i; per-trial failures are recorded and
     excluded from the means."""
@@ -499,7 +497,7 @@ def run_trials(
             raise ParameterError("experiment trials must carry a test block")
         for m in methods:
             try:
-                sel = grid_search(data, weights, grid=grid, method=m, config=config)
+                sel = grid_search(data, weights, grid=grid, method=m)
                 _, labels = predict(sel.best_model, data.test_x)
                 pe = prediction_error(labels, data.test_y)
             except SslogitError as exc:

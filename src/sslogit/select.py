@@ -4,10 +4,10 @@ Three method flavors share the machinery: the weighted fit searches over
 (gamma1, lambda); the unit-weight and labeled-only baselines search over
 lambda alone and, since the EM step cannot move a fit (see em), coincide.
 The gamma2 grid is accepted and ignored: every candidate is recorded with
-gamma2 = 0. Candidates are fitted a ridge column at a time (see
-em.fit_lambda_batch), and each column is scored by one gic.gic_column call
-with the matching weights: r^gamma1 for the weighted method, ones for the
-baselines.
+gamma2 = 0. The search works on arrays: each ridge column is one
+em.fit_step1_batch call, its fitted rows are scored by one gic.gic_column
+call with the matching weights (r^gamma1 for the weighted method, ones for
+the baselines), and only the winner is built into a FittedModel.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .data import SplitDataset
-from .em import FittedModel, fit_lambda_batch
-from .em import fit_step1_batch  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+from .em import FittedModel, fit_step1_batch, fitted_model
+from .em import fit_lambda_batch  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .errors import NumericalError, ParameterError
 from .gic import GicReport, gic_column
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .objective import NewtonConfig, TuningParams, power_weights
+from .objective import _FAILED, TuningParams, power_weights
 from .ratios import RatioWeights, unit_weights
 
 METHODS = ("sslrcs", "lsslr", "slr")
@@ -82,79 +82,52 @@ class SelectionResult:
     candidates: list[CandidateRecord] = field(repr=False)
 
 
-class _Best:
-    """Running argmin with the deterministic tie-break (gic, lambda,
-    gamma1); converged candidates kept separately so they win whenever any
-    exists."""
-
-    def __init__(self):
-        self._best = {True: None, False: None}
-
-    def offer(self, model: FittedModel, report: GicReport):
-        key = (report.gic, model.params.lam, model.params.gamma1)
-        slot = self._best[model.converged]
-        if slot is None or key < slot[0]:
-            self._best[model.converged] = (key, model, report)
-
-    def winner(self) -> Optional[tuple[FittedModel, GicReport]]:
-        slot = self._best[True] or self._best[False]
-        return None if slot is None else (slot[1], slot[2])
-
-
 def grid_search(
     data: SplitDataset,
     weights: RatioWeights,
     grid: Optional[Grid] = None,
     method: str = "sslrcs",
-    config: Optional[NewtonConfig] = None,
 ) -> SelectionResult:
     """Fit and score every candidate; return the criterion minimizer.
 
     The baselines drop the ratio weights and the gamma grids. No method
     fits to the unlabeled block; it enters only through the ratio weights.
+    Ties go to the first minimum of (gic, lambda, gamma1).
     """
     meth = str(method).lower()
     if meth not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     g = grid or default_grid()
     lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
+    if meth == "sslrcs":
+        columns = [(gamma1, weights) for gamma1 in g.gamma1_values]
+    else:
+        columns = [(0.0, unit_weights(data))]
 
     records: list[CandidateRecord] = []
-    best = _Best()
+    states = []
+    for gamma1, wts in columns:
+        state = fit_step1_batch(data, wts, gamma1, lams)
+        states.append(state)
+        ok = np.array([status != _FAILED for status in state.status])
+        eta = power_weights(wts.r_labeled, gamma1)
+        col = gic_column(state.w[ok], data, eta, lams[ok])
+        for lam, fitted, b in zip(lams, ok, np.cumsum(ok) - 1):
+            params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(lam))
+            report, err = None, "singular Hessian"
+            if fitted:
+                try:
+                    report, err = col.report(b, params), None
+                except NumericalError as exc:
+                    err = str(exc)
+            records.append(CandidateRecord(params, report, bool(fitted), err))
 
-    def handle(fits, gamma1: float, eta: np.ndarray):
-        fitted = [m for m in fits.models if m is not None]
-        col = gic_column(
-            np.array([m.w for m in fitted]).reshape(-1, data.n_features + 1),
-            data,
-            eta,
-            [m.params.lam for m in fitted],
-        )
-        rows = iter(range(len(fitted)))
-        for i, (model, err) in enumerate(zip(fits.models, fits.errors)):
-            if model is None:
-                params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(lams[i]))
-                records.append(CandidateRecord(params, None, False, err))
-                continue
-            try:
-                report = col.report(next(rows), model.params)
-            except NumericalError as exc:
-                report, err = None, str(exc)
-            else:
-                best.offer(model, report)
-            records.append(CandidateRecord(model.params, report, model.converged, err))
-
-    if meth == "sslrcs":
-        for gamma1 in g.gamma1_values:
-            fits = fit_lambda_batch(data, weights, gamma1, 0.0, lams, config)
-            handle(fits, gamma1, power_weights(weights.r_labeled, gamma1))
-    else:
-        ones = unit_weights(data)
-        fits = fit_lambda_batch(data, ones, 0.0, 0.0, lams, config)
-        handle(fits, 0.0, ones.r_labeled)
-
-    winner = best.winner()
-    if winner is None:
+    scored = [
+        (r.report.gic, r.params.lam, r.params.gamma1, k)
+        for k, r in enumerate(records)
+        if r.report is not None
+    ]
+    if not scored:
         n_failed = sum(1 for r in records if r.error is not None)
         first = next((r.error for r in records if r.error is not None), "unknown")
         exc = NumericalError(
@@ -162,7 +135,12 @@ def grid_search(
         )
         exc.candidates = records  # type: ignore[attr-defined]
         raise exc
-    model, report = winner
+    best = min(scored)[-1]
+    column, row = divmod(best, lams.size)
+    model = fitted_model(data, states[column], row, records[best].params)
     return SelectionResult(
-        method=meth, best_model=model, best_report=report, candidates=records
+        method=meth,
+        best_model=model,
+        best_report=records[best].report,
+        candidates=records,
     )

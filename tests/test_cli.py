@@ -224,6 +224,27 @@ class TestModelValidation:
         assert main(["predict", "--model", str(path), "--data", str(data)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, code",
+        [
+            # predict does not read the fit details, so a bad one is ignored.
+            ({"em_iterations": "x"}, 0),
+            ({"coefficients": [0.5, "b"]}, 2),
+            ({"standardization": {"mean": [0]}}, 2),
+            ({"n_features": "1"}, 2),
+        ],
+        ids=["em_iterations", "coefficients", "standardization", "n_features"],
+    )
+    def test_malformed_field_does_not_crash(self, tmp_path, capsys, field, code):
+        data = self.make_inputs(tmp_path)
+        path = tmp_path / "m.json"
+        doc = {"format": "sslogit-model", "version": 1,
+               "n_features": 1, "coefficients": [0.5, 1.0]}
+        path.write_text(json.dumps({**doc, **field}))
+        assert main(["predict", "--model", str(path), "--data", str(data)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") if code else err == ""
+
     def test_feature_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({
@@ -281,6 +302,28 @@ class TestSelect:
         ])
         assert code == 0
         assert "slr" in capsys.readouterr().out
+
+    def test_unit_weight_method_runs_without_unlabeled(self, workdir):
+        # lsslr never reads the unlabeled block, and it coincides with slr.
+        results = {}
+        for method in ("lsslr", "slr"):
+            select_path = workdir / f"select-{method}.json"
+            model_path = workdir / f"model-{method}.json"
+            assert main([
+                "select", "--labeled", str(workdir / "labeled.csv"),
+                "--methods", method, "--output", str(select_path), *TINY_GRID,
+            ]) == 0
+            assert main([
+                "fit", "--labeled", str(workdir / "labeled.csv"),
+                "--method", method, "--model-out", str(model_path),
+            ]) == 0
+            model = json.loads(model_path.read_text())
+            results[method] = (
+                json.loads(select_path.read_text())["methods"][method],
+                model["coefficients"],
+                model["params"],
+            )
+        assert results["lsslr"] == results["slr"]
 
     def test_numerical_failure_exit_code(self, workdir, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -20,7 +20,6 @@ from sslogit.em import (
 )
 from sslogit.errors import NumericalError
 from sslogit.objective import (
-    NewtonConfig,
     TuningParams,
     newton_maximize,
     posterior,
@@ -277,6 +276,20 @@ class TestFitInvariances:
         assert b.w[0] == pytest.approx(a.w[0], rel=0, abs=INVARIANCE_ATOL)
         np.testing.assert_allclose(b.w[1:], a.w[1:][cols], rtol=0, atol=INVARIANCE_ATOL)
 
+    @given(problem=fit_problems, log10_c=st.floats(-2.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_r_by_c_is_dividing_lambda_by_c(self, problem, log10_c):
+        # With gamma1 = 1 the weighted likelihood scales by c, so the
+        # maximizer is that of the ridge term at lam / c.
+        data, weights, params = problem
+        c = 10.0**log10_c
+        scaled = RatioWeights(c * weights.r_labeled, weights.s_unlabeled)
+        a = fit_semisupervised(data, scaled, TuningParams(1.0, params.gamma2, params.lam))
+        b = fit_semisupervised(
+            data, weights, TuningParams(1.0, params.gamma2, params.lam / c)
+        )
+        np.testing.assert_allclose(a.w, b.w, rtol=0, atol=INVARIANCE_ATOL)
+
 
 class TestEmFixedPoint:
     """Theorem: at t = e_step(w) the unlabeled score vanishes, so the EM
@@ -354,7 +367,7 @@ class TestBatchedFits:
     def test_step1_batch_matches_solo(self):
         data, weights, _ = make_instance(18, 7, 2, seed=19)
         lams = np.array([0.01, 0.1, 1.0])
-        batch = fit_step1_batch(data, weights, 0.4, lams, NewtonConfig())
+        batch = fit_step1_batch(data, weights, 0.4, lams)
         for lam, w_b in zip(lams, batch.w):
             w_s = fit_step1(data, weights, TuningParams(0.4, 0.0, lam))
             np.testing.assert_allclose(w_b, w_s, rtol=0, atol=1e-12)

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import sslogit.em as em_mod
+import sslogit.objective as objective_mod
 import sslogit.select as select_mod
 from sslogit.data import SplitDataset, make_rng
 import sslogit.gic as gic_mod
-from sslogit.em import _BatchFits, fit_lambda_batch, fit_semisupervised, fit_step1_batch
+from sslogit.em import e_step, fit_lambda_batch, fit_semisupervised, fit_step1_batch
 from sslogit.errors import NumericalError, ParameterError
 from sslogit.gic import gic_lsslr, gic_score, gic_slr
-from sslogit.objective import NewtonConfig, TuningParams
+from sslogit.objective import TuningParams
 from sslogit.ratios import RatioWeights, unit_weights
 from sslogit.select import Grid, default_grid, grid_search
 
@@ -209,23 +211,39 @@ class TestStep1Search:
         lams = np.power(10.0, np.asarray(TINY.log10_lambda_values))
         assert len(scored) == len(TINY.gamma1_values)
         for g1, w in zip(TINY.gamma1_values, scored):
-            step1 = fit_step1_batch(data, weights, g1, lams, NewtonConfig())
+            step1 = fit_step1_batch(data, weights, g1, lams)
             np.testing.assert_array_equal(w, step1.w)
         best = res.best_model.params
         row = list(lams).index(best.lam)
-        step1 = fit_step1_batch(data, weights, best.gamma1, lams, NewtonConfig())
+        step1 = fit_step1_batch(data, weights, best.gamma1, lams)
         np.testing.assert_array_equal(res.best_model.w, step1.w[row])
+
+    def test_only_the_winner_is_built_into_a_model(self, monkeypatch):
+        # Candidates are scored as arrays; imputing t_hat for a FittedModel
+        # happens once per search, for the winner.
+        data, weights = make_instance(15, 10, 2, seed=14)
+        imputed = []
+
+        def spy(w, data):
+            imputed.append(np.array(w))
+            return e_step(w, data)
+
+        monkeypatch.setattr(em_mod, "e_step", spy)
+        res = grid_search(data, weights, TINY, method="sslrcs")
+        assert len(res.candidates) == 6
+        assert len(imputed) == 1
+        np.testing.assert_array_equal(imputed[0], res.best_model.w)
+        np.testing.assert_array_equal(res.best_model.t_hat, e_step(res.best_model.w, data))
 
 
 class TestAllCandidatesFailed:
     def test_raises_with_candidate_records(self, monkeypatch):
         data, weights = make_instance(10, 5, 2, seed=10)
 
-        def broken_batch(data, weights, gamma1, gamma2, lams, config=None, **kwargs):
-            n = np.asarray(lams).size
-            return _BatchFits([None] * n, ["singular Hessian"] * n)
+        def fail_every_row(h, g):
+            return np.zeros_like(g), np.ones(g.shape[0], dtype=bool)
 
-        monkeypatch.setattr(select_mod, "fit_lambda_batch", broken_batch)
+        monkeypatch.setattr(objective_mod, "_batch_solve", fail_every_row)
         with pytest.raises(NumericalError, match="all 3 grid candidates failed") as info:
             grid_search(data, weights, TINY, method="lsslr")
         records = info.value.candidates
