@@ -20,7 +20,6 @@ from .em import (
 from .errors import DataError, NumericalError, ParameterError, SslogitError
 from .gic import GicMatrices, GicReport, gic_lsslr, gic_matrices, gic_score, gic_slr
 from .objective import (
-    NewtonConfig,
     NewtonDiagnostics,
     TuningParams,
     gradient,

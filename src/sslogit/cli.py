@@ -2,8 +2,9 @@
 
 Every command is deterministic given its flags and seed. JSON outputs embed
 the effective configuration and carry no timestamps, so identical
-invocations produce identical bytes. Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.
+invocations produce identical bytes. Exit code 0 is success; an error
+exits with the code its class in sslogit.errors carries (1 usage, 2 data
+error, 3 numerical failure).
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import SplitDataset, read_csv
 from .em import FittedModel, fit_semisupervised, predict
-from .errors import DataError, NumericalError, ParameterError, SslogitError
+from .errors import DataError, ParameterError, SslogitError
 from .experiments import (
     BENCHMARK_FRACTIONS,
     BENCHMARK_SPECS,
@@ -28,12 +29,20 @@ from .experiments import (
     BenchmarkExperiment,
     ShiftedSyntheticExperiment,
     load_benchmark,
+    prediction_error,
     run_trials,
     sim1_experiment,
     sim2_experiment,
 )
 from .objective import TuningParams
-from .ratios import RATIO_CAP, RATIO_FLOOR, UlsifConfig, unit_weights, weights_from_ulsif
+from .ratios import (
+    RATIO_CAP,
+    RATIO_FLOOR,
+    RatioWeights,
+    UlsifConfig,
+    unit_weights,
+    weights_from_ulsif,
+)
 from .select import METHODS, Grid, default_grid, grid_search
 
 DATA_DIR_ENV = "SSLOGIT_DATA_DIR"
@@ -86,12 +95,8 @@ def _render_table(title: str, col_labels: Sequence[str], rows) -> str:
     return "\n".join(lines)
 
 
-def _fmt_pe(value: float) -> str:
-    return "-" if value is None or not np.isfinite(value) else f"{value:.3g}"
-
-
-def _fmt2(value: float) -> str:
-    return "-" if value is None or not np.isfinite(value) else f"{value:.2f}"
+def _fmt(value: Optional[float], spec: str) -> str:
+    return "-" if value is None or not np.isfinite(value) else format(value, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -99,27 +104,22 @@ def _fmt2(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
+def _mean_scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard deviations, with scale 1 for a constant column."""
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0
-    return mean, scale
-
-
-def _apply_standardize(x: Optional[np.ndarray], mean, scale):
-    return None if x is None else (x - mean) / scale
+    return x.mean(axis=0), scale
 
 
 def _standardized(data: SplitDataset) -> tuple[SplitDataset, dict]:
     """Every block scaled by the labeled + unlabeled pool's statistics."""
-    mean, scale = _standardize_stats(np.vstack([data.labeled_x, data.unlabeled_x]))
+    mean, scale = _mean_scale(np.vstack([data.labeled_x, data.unlabeled_x]))
     std = {"mean": mean.tolist(), "scale": scale.tolist()}
-    return SplitDataset(
-        labeled_x=_apply_standardize(data.labeled_x, mean, scale),
-        labeled_y=data.labeled_y,
-        unlabeled_x=_apply_standardize(data.unlabeled_x, mean, scale),
-        test_x=_apply_standardize(data.test_x, mean, scale),
-        test_y=data.test_y,
+    return replace(
+        data,
+        labeled_x=(data.labeled_x - mean) / scale,
+        unlabeled_x=(data.unlabeled_x - mean) / scale,
+        test_x=None if data.test_x is None else (data.test_x - mean) / scale,
     ), std
 
 
@@ -129,35 +129,18 @@ def _standardized(data: SplitDataset) -> tuple[SplitDataset, dict]:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-gamma1", type=str, default=None,
+    p.add_argument("--grid-gamma1", type=_float_list, default=None,
                    help="comma-separated gamma1 grid (default 0.0..1.0 step 0.1)")
-    p.add_argument("--grid-gamma2", type=str, default=None,
-                   help="comma-separated gamma2 grid; accepted; has no effect")
-    p.add_argument("--grid-log10-lambda", type=str, default=None,
+    p.add_argument("--grid-log10-lambda", type=_float_list, default=None,
                    help="comma-separated log10(lambda) grid (default -4.0..2.5 step 0.5)")
 
 
 def _grid_from_args(args) -> Grid:
-    # None means the flag was omitted; an empty string is a user error and
-    # must fail in _float_list rather than silently fall back to the default.
-    base = default_grid()
-    return Grid(
-        gamma1_values=(
-            _float_list(args.grid_gamma1)
-            if args.grid_gamma1 is not None
-            else base.gamma1_values
-        ),
-        gamma2_values=(
-            _float_list(args.grid_gamma2)
-            if args.grid_gamma2 is not None
-            else base.gamma2_values
-        ),
-        log10_lambda_values=(
-            _float_list(args.grid_log10_lambda)
-            if args.grid_log10_lambda is not None
-            else base.log10_lambda_values
-        ),
-    )
+    given = {
+        "gamma1_values": args.grid_gamma1,
+        "log10_lambda_values": args.grid_log10_lambda,
+    }
+    return replace(default_grid(), **{k: v for k, v in given.items() if v is not None})
 
 
 def _grid_echo(grid: Grid) -> dict:
@@ -173,10 +156,6 @@ def _add_ratio_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ratio-cap", type=float, default=RATIO_CAP)
 
 
-def _ulsif_config(args) -> UlsifConfig:
-    return UlsifConfig(ratio_floor=args.ratio_floor, ratio_cap=args.ratio_cap)
-
-
 def _split_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip().lower() for m in text.split(",") if m.strip())
     for m in methods:
@@ -184,6 +163,8 @@ def _split_methods(text: str) -> tuple[str, ...]:
             raise ParameterError(f"unknown method {m!r}; choose from {METHODS}")
     if not methods:
         raise ParameterError("no methods requested")
+    if len(set(methods)) != len(methods):
+        raise ParameterError(f"repeated method in {text!r}")
     return methods
 
 
@@ -192,34 +173,40 @@ def _split_methods(text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _load_user_data(args, need_unlabeled: bool) -> SplitDataset:
+def _load_user_data(
+    args, methods: Sequence[str], test: Optional[str] = None
+) -> tuple[SplitDataset, Optional[dict], RatioWeights]:
+    """The user's CSVs, standardized if asked, with their standardization
+    and ratio weights. Only sslrcs reads the weights, so uLSIF runs only
+    when it is among the methods; otherwise the weights are ones."""
+    weighted = "sslrcs" in methods
     labeled_x, labeled_y = read_csv(args.labeled, has_label=True)
     if args.unlabeled:
         unlabeled_x, _ = read_csv(args.unlabeled, has_label=False)
-    elif need_unlabeled:
+    elif weighted:
         raise ParameterError("--unlabeled is required for the requested methods")
     else:
         unlabeled_x = np.empty((0, labeled_x.shape[1]))
     test_x = test_y = None
-    if args.test:
-        test_x, test_y = read_csv(args.test, has_label=True)
-    return SplitDataset(
+    if test:
+        test_x, test_y = read_csv(test, has_label=True)
+    data = SplitDataset(
         labeled_x=labeled_x,
         labeled_y=labeled_y,
         unlabeled_x=unlabeled_x,
         test_x=test_x,
         test_y=test_y,
     )
+    data, std = _standardized(data) if args.standardize else (data, None)
+    if weighted:
+        config = UlsifConfig(ratio_floor=args.ratio_floor, ratio_cap=args.ratio_cap)
+        return data, std, weights_from_ulsif(data, config, seed=args.seed)
+    return data, std, unit_weights(data)
 
 
 def cmd_select(args) -> int:
     methods = _split_methods(args.methods)
-    data = _load_user_data(args, need_unlabeled="sslrcs" in methods)
-    data, std = _standardized(data) if args.standardize else (data, None)
-    if data.n_unlabeled > 0:
-        weights = weights_from_ulsif(data, _ulsif_config(args), seed=args.seed)
-    else:
-        weights = unit_weights(data)
+    data, std, weights = _load_user_data(args, methods, test=args.test)
     grid = _grid_from_args(args)
 
     col_labels = list(methods)
@@ -234,16 +221,14 @@ def cmd_select(args) -> int:
         pe = None
         if data.test_x is not None:
             _, labels = predict(best, data.test_x)
-            from .experiments import prediction_error
-
             pe = prediction_error(labels, data.test_y)
-        field_rows["gamma1"].append(_fmt2(best.params.gamma1))
-        field_rows["log10 lambda"].append(_fmt2(float(np.log10(best.params.lam))))
+        field_rows["gamma1"].append(_fmt(best.params.gamma1, ".2f"))
+        field_rows["log10 lambda"].append(_fmt(float(np.log10(best.params.lam)), ".2f"))
         field_rows["GIC"].append(f"{report.gic:.6g}")
         field_rows["weighted NLL"].append(f"{report.weighted_nll:.6g}")
         field_rows["trace term"].append(f"{report.trace_term:.6g}")
         field_rows["converged"].append(str(best.converged).lower())
-        field_rows["test PE (%)"].append(_fmt_pe(pe) if pe is not None else "-")
+        field_rows["test PE (%)"].append(_fmt(pe, ".3g"))
         json_methods[m] = {
             "selected": {
                 "gamma1": best.params.gamma1,
@@ -297,23 +282,15 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    method = args.method.lower()
-    if method not in METHODS:
-        raise ParameterError(f"unknown method {args.method!r}")
-    data = _load_user_data(args, need_unlabeled=method == "sslrcs")
-    data, std = _standardized(data) if args.standardize else (data, None)
     params = TuningParams(
         gamma1=args.gamma1, gamma2=args.gamma2, lam=10.0**args.log10_lambda
     )
-    if method == "sslrcs":
-        weights = weights_from_ulsif(data, _ulsif_config(args), seed=args.seed)
-    else:
-        weights = unit_weights(data)
+    data, std, weights = _load_user_data(args, (args.method,))
     model = fit_semisupervised(data, weights, params)
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "method": method,
+        "method": args.method,
         "n_features": data.n_features,
         "coefficients": model.w.tolist(),
         "params": {
@@ -329,7 +306,7 @@ def cmd_fit(args) -> int:
         "final_objective": model.final_objective,
     }
     _write_json(args.model_out, payload)
-    print(f"fit {method}: converged={str(model.converged).lower()} -> {args.model_out}")
+    print(f"fit {args.method}: converged={str(model.converged).lower()} -> {args.model_out}")
     return 0
 
 
@@ -393,7 +370,8 @@ def cmd_predict(args) -> int:
             f"{args.data}: {x.shape[1]} features, model expects {n_features}"
         )
     if std is not None:
-        x = _apply_standardize(x, *std)
+        mean, scale = std
+        x = (x - mean) / scale
     # predict reads the coefficients alone; the saved fit details are not loaded.
     model = FittedModel(w, None, None, None, None, None, None)
     probs, labels = predict(model, x)
@@ -414,26 +392,20 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_payload(run) -> dict:
-    doc = asdict(run)
-    doc["methods"] = list(run.methods)
-    return doc
-
-
 def _replicate_tables(setting_label, settings, runs, methods) -> str:
     """One aligned table: PE and mean selected parameters per method."""
     rows = []
     for m in methods:
         rows.append(
-            (f"PE {m}", [_fmt_pe(r.summary(m).mean_pe_percent) for r in runs])
+            (f"PE {m}", [_fmt(r.summary(m).mean_pe_percent, ".3g") for r in runs])
         )
     for m in methods:
         if m == "sslrcs":
             rows.append(
-                ("gamma1 sslrcs", [_fmt2(r.summary(m).mean_gamma1) for r in runs])
+                ("gamma1 sslrcs", [_fmt(r.summary(m).mean_gamma1, ".2f") for r in runs])
             )
         rows.append(
-            (f"log10 lambda {m}", [_fmt2(r.summary(m).mean_log10_lambda) for r in runs])
+            (f"log10 lambda {m}", [_fmt(r.summary(m).mean_log10_lambda, ".2f") for r in runs])
         )
     failures = [
         "/".join(str(r.summary(m).n_failed) for m in methods) for r in runs
@@ -443,7 +415,28 @@ def _replicate_tables(setting_label, settings, runs, methods) -> str:
     return _render_table(setting_label, settings, rows)
 
 
+def _check_study_flags(args) -> None:
+    """Reject the replicate flags that the chosen study would ignore."""
+    study = args.study
+    if study == "bench" and not args.dataset:
+        raise ParameterError("replicate bench requires --dataset")
+    from_files = study == "bench" and args.dataset != "synthetic"
+    for flag, value, applies in (
+        ("--n", args.n, study == "sim1"),
+        ("--case", args.case, study == "sim2"),
+        ("--dataset", args.dataset, study == "bench"),
+        ("--fractions", args.fractions, study == "bench"),
+        ("--data-dir", args.data_dir, from_files),
+        ("--no-strict", args.no_strict, from_files),
+        ("--standardize", args.standardize, from_files),
+    ):
+        if value is not None and value is not False and not applies:
+            where = "bench --dataset synthetic" if study == "bench" else study
+            raise ParameterError(f"{flag} does not apply to replicate {where}")
+
+
 def cmd_replicate(args) -> int:
+    _check_study_flags(args)
     methods = _split_methods(args.methods)
     grid = _grid_from_args(args)
     study = args.study
@@ -459,8 +452,8 @@ def cmd_replicate(args) -> int:
             experiments.append((f"case={c}", sim2_experiment(c)))
     else:
         fractions = (
-            tuple(f / 100.0 for f in _float_list(args.fractions))
-            if args.fractions
+            tuple(f / 100.0 for f in args.fractions)
+            if args.fractions is not None
             else BENCHMARK_FRACTIONS
         )
         for f in fractions:
@@ -477,9 +470,9 @@ def cmd_replicate(args) -> int:
                 args.dataset, data_dir, strict=not args.no_strict
             )
             if args.standardize:
-                mean, scale = _standardize_stats(train_x)
-                train_x = _apply_standardize(train_x, mean, scale)
-                test_x = _apply_standardize(test_x, mean, scale)
+                mean, scale = _mean_scale(train_x)
+                train_x = (train_x - mean) / scale
+                test_x = (test_x - mean) / scale
             for f in fractions:
                 experiments.append(
                     (
@@ -523,10 +516,10 @@ def cmd_replicate(args) -> int:
                 "seed": args.seed,
                 "grid": _grid_echo(grid),
                 "settings": [label for label, _ in runs],
-                "dataset": getattr(args, "dataset", None),
-                "standardize": bool(getattr(args, "standardize", False)),
+                "dataset": args.dataset,
+                "standardize": args.standardize,
             },
-            "results": {label: _run_payload(run) for label, run in runs},
+            "results": {label: asdict(run) for label, run in runs},
         }
         _write_json(args.output, payload)
         print(f"wrote {args.output}")
@@ -566,8 +559,7 @@ def _build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="fit a single model and save it as JSON")
     p_fit.add_argument("--labeled", required=True)
     p_fit.add_argument("--unlabeled", default=None)
-    p_fit.add_argument("--test", default=None)
-    p_fit.add_argument("--method", default="sslrcs", help="sslrcs, lsslr, or slr")
+    p_fit.add_argument("--method", default="sslrcs", type=str.lower, choices=METHODS)
     p_fit.add_argument("--gamma1", type=float, default=0.0)
     p_fit.add_argument("--gamma2", type=float, default=0.0,
                        help="accepted; has no effect")
@@ -597,7 +589,7 @@ def _build_parser() -> _Parser:
                        help="bench only: g10, ionosphere, pima, or synthetic")
     p_rep.add_argument("--data-dir", default=None,
                        help=f"bench only: directory with CSVs (default ${DATA_DIR_ENV} or .)")
-    p_rep.add_argument("--fractions", default=None,
+    p_rep.add_argument("--fractions", type=_float_list, default=None,
                        help="bench only: comma-separated labeled percentages")
     p_rep.add_argument("--no-strict", action="store_true",
                        help="bench only: warn instead of fail on split-size mismatch")
@@ -613,21 +605,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "replicate" and args.study == "bench" and not args.dataset:
-            raise ParameterError("replicate bench requires --dataset")
         return args.func(args)
-    except ParameterError as exc:
+    except SslogitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SslogitError as exc:  # defensive: unmapped subclass
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from .data import SplitDataset, build_design
 from .errors import NumericalError
 from .objective import (
     _FAILED,
-    NewtonConfig,
     NewtonDiagnostics,
     TuningParams,
     _batch_objective,
@@ -138,7 +137,7 @@ def fit_step1_batch(
     yt = np.broadcast_to(y, (lams.size, n1))
     w0 = np.zeros((lams.size, x_lab.shape[1]))
     obj0 = _batch_objective(w0, x_lab, vr, yt, lams, n1)
-    return _newton_batch(x_lab, vr, yt, lams, n1, w0, obj0, NewtonConfig())
+    return _newton_batch(x_lab, vr, yt, lams, n1, w0, obj0)
 
 
 def fitted_model(

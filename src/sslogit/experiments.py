@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import DataError, ParameterError, SslogitError
 from .ratios import (
     DiagGaussian,
     RatioWeights,
-    UlsifConfig,
     weights_from_exact,
     weights_from_ulsif,
 )
@@ -57,8 +56,6 @@ class Sim1Config:
     n_labeled: int
     n_unlabeled: int = 500
     n_test: int = 1000
-    labeled_density: DiagGaussian = field(default_factory=sim1_labeled_density)
-    unlabeled_density: DiagGaussian = field(default_factory=sim1_unlabeled_density)
 
     def __post_init__(self):
         if min(self.n_labeled, self.n_unlabeled, self.n_test) < 1:
@@ -78,7 +75,7 @@ def gen_sim1(config: Sim1Config, seed: Seed) -> SplitDataset:
     covariates from their equal-weight per-point mixture; labels Bernoulli
     from the shared conditional."""
     rng = make_rng(seed)
-    lab, unl = config.labeled_density, config.unlabeled_density
+    lab, unl = sim1_labeled_density(), sim1_unlabeled_density()
 
     labeled_x = lab.sample(config.n_labeled, rng)
     labeled_y = rng.random(config.n_labeled) < sim1_conditional_prob(
@@ -314,9 +311,7 @@ class Sim1Experiment:
 
     def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
         data = gen_sim1(self.config, seed)
-        weights = weights_from_exact(
-            self.config.labeled_density, self.config.unlabeled_density, data
-        )
+        weights = weights_from_exact(sim1_labeled_density(), sim1_unlabeled_density(), data)
         return data, weights
 
 
@@ -325,7 +320,6 @@ class Sim2Experiment:
     """One case of study 2; ratios estimated from the covariates."""
 
     config: Sim2Config
-    ulsif: UlsifConfig = field(default_factory=UlsifConfig)
 
     @property
     def name(self) -> str:
@@ -333,7 +327,7 @@ class Sim2Experiment:
 
     def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
         data = gen_sim2(self.config, seed)
-        return data, weights_from_ulsif(data, self.ulsif, seed=seed)
+        return data, weights_from_ulsif(data, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -346,7 +340,6 @@ class BenchmarkExperiment:
     test_x: np.ndarray
     test_y: np.ndarray
     labeled_fraction: float
-    ulsif: UlsifConfig = field(default_factory=UlsifConfig)
 
     @property
     def name(self) -> str:
@@ -357,50 +350,46 @@ class BenchmarkExperiment:
             self.train_x, self.train_y, self.labeled_fraction, seed
         )
         data = replace(split, test_x=self.test_x, test_y=self.test_y)
-        return data, weights_from_ulsif(data, self.ulsif, seed=seed)
+        return data, weights_from_ulsif(data, seed=seed)
+
+
+SHIFT_TILT = 2.0
 
 
 @dataclass(frozen=True)
 class ShiftedSyntheticExperiment:
     """Synthetic benchmark stand-in with a biased labeled subset.
 
-    Each trial regenerates a pool, picks labeled points with probability
-    proportional to exp(tilt * x1), and splits the unselected remainder
-    at random into the unlabeled and test blocks. Labeled covariates are
+    Each trial regenerates a gen_shifted_benchmark pool at its default
+    sizes, picks labeled points with probability proportional to
+    exp(SHIFT_TILT * x1), and splits the unselected remainder at random
+    into the unlabeled and test blocks. Labeled covariates are
     therefore tilted toward large x1 while the unlabeled and test blocks
     share the complementary distribution, which is the shift the ratio
     weights are meant to correct.
     """
 
     labeled_fraction: float = 0.2
-    n_train: int = 250
-    n_test: int = 300
-    n_features: int = 3
-    curvature: float = 2.0
-    tilt: float = 2.0
-    ulsif: UlsifConfig = field(default_factory=UlsifConfig)
 
     @property
     def name(self) -> str:
         return f"bench(synthetic, {round(100 * self.labeled_fraction)}%)"
 
     def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
-        train_x, train_y, test_x, test_y = gen_shifted_benchmark(
-            self.n_train, self.n_test, self.n_features, self.curvature,
-            seed=derive_seed(seed, 10),
-        )
+        train_x, train_y, test_x, test_y = gen_shifted_benchmark(seed=derive_seed(seed, 10))
+        n_train, n_test = train_x.shape[0], test_x.shape[0]
         pool_x = np.vstack([train_x, test_x])
         pool_y = np.concatenate([train_y, test_y])
         rng = make_rng(derive_seed(seed, 11))
         n_pool = pool_x.shape[0]
-        n_lab = max(1, int(np.floor(self.labeled_fraction * self.n_train + 0.5)))
-        probs = np.exp(self.tilt * pool_x[:, 0])
+        n_lab = max(1, int(np.floor(self.labeled_fraction * n_train + 0.5)))
+        probs = np.exp(SHIFT_TILT * pool_x[:, 0])
         probs /= probs.sum()
         labeled_idx = rng.choice(n_pool, size=n_lab, replace=False, p=probs)
         mask = np.zeros(n_pool, dtype=bool)
         mask[labeled_idx] = True
         rest = rng.permutation(np.flatnonzero(~mask))
-        test_idx, unlabeled_idx = rest[: self.n_test], rest[self.n_test :]
+        test_idx, unlabeled_idx = rest[:n_test], rest[n_test:]
         data = SplitDataset(
             labeled_x=pool_x[mask],
             labeled_y=pool_y[mask],
@@ -408,7 +397,7 @@ class ShiftedSyntheticExperiment:
             test_x=pool_x[test_idx],
             test_y=pool_y[test_idx],
         )
-        return data, weights_from_ulsif(data, self.ulsif, seed=seed)
+        return data, weights_from_ulsif(data, seed=seed)
 
 
 def sim1_experiment(n_labeled: int) -> Sim1Experiment:

@@ -24,6 +24,12 @@ from .data import SplitDataset
 from .errors import NumericalError, ParameterError
 from .ratios import RatioWeights
 
+# Newton stopping rules; MAX_HALVINGS bounds each line search.
+MAX_ITERS = 100
+GRAD_TOL = 1e-8
+OBJ_TOL = 1e-10
+MAX_HALVINGS = 30
+
 
 @dataclass(frozen=True)
 class TuningParams:
@@ -40,20 +46,6 @@ class TuningParams:
                 raise ParameterError(f"{name} must lie in [0, 1], got {g}")
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise ParameterError(f"lam must be positive and finite, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iters: int = 100
-    grad_tol: float = 1e-8
-    obj_tol: float = 1e-10
-    max_halvings: int = 30
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.max_halvings < 0:
-            raise ParameterError("iteration limits must be positive")
-        if self.grad_tol <= 0 or self.obj_tol <= 0:
-            raise ParameterError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def _batch_solve(h, g):
     return delta, failed
 
 
-def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _NewtonBatchState:
+def _newton_batch(x, v, yt, lams, n1, w0, obj0) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
     B candidates at once.
 
@@ -197,11 +189,11 @@ def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _Newton
     hit_max = np.ones(n_batch, dtype=bool)
     failed = np.zeros(n_batch, dtype=bool)
     active = np.arange(n_batch)
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         if active.size == 0:
             break
         g = _batch_gradient(w[active], x, v, yt[active], lams[active], n1)
-        small = np.linalg.norm(g, axis=1) <= config.grad_tol
+        small = np.linalg.norm(g, axis=1) <= GRAD_TOL
         hit_max[active[small]] = False
         active = active[~small]
         if active.size == 0:
@@ -224,7 +216,7 @@ def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _Newton
         w_try = w_act - delta
         obj_try = _batch_objective(w_try, x, v, yt_act, lam_act, n1)
         need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             if not need.any():
                 break
             step[need] *= 0.5
@@ -240,9 +232,9 @@ def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _Newton
         upd = active[accepted]
         w[upd] = w_try[accepted]
         obj[upd] = obj_try[accepted]
-        stalled = accepted & (improvement <= config.obj_tol)
+        stalled = accepted & (improvement <= OBJ_TOL)
         hit_max[active[stalled]] = False
-        active = active[accepted & (improvement > config.obj_tol)]
+        active = active[accepted & (improvement > OBJ_TOL)]
     grad_norm = np.linalg.norm(
         _batch_gradient(w, x, v, yt, lams, n1), axis=1
     )
@@ -250,7 +242,7 @@ def _newton_batch(x, v, yt, lams, n1, w0, obj0, config: NewtonConfig) -> _Newton
     for i in range(n_batch):
         if failed[i]:
             status.append(_FAILED)
-        elif grad_norm[i] <= config.grad_tol:
+        elif grad_norm[i] <= GRAD_TOL:
             status.append("converged")
         elif hit_max[i]:
             status.append("max-iterations")
@@ -339,12 +331,11 @@ def newton_maximize(
     weights: RatioWeights,
     t: np.ndarray,
     params: TuningParams,
-    config: NewtonConfig | None = None,
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     """Maximize the objective at fixed targets t from init."""
     w, x, v, yt, lams, n1 = _batch_of_one(init, data, weights, t, params)
     obj0 = _batch_objective(w, x, v, yt, lams, n1)
-    state = _newton_batch(x, v, yt, lams, n1, w, obj0, config or NewtonConfig())
+    state = _newton_batch(x, v, yt, lams, n1, w, obj0)
     if state.status[0] == _FAILED:
         raise NumericalError("singular Hessian")
     return state.w[0], state.diagnostics(0)

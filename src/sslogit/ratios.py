@@ -10,7 +10,7 @@ selection of the kernel width and ridge amount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -117,15 +117,13 @@ def weights_from_exact(
     labeled_density: DiagGaussian,
     unlabeled_density: DiagGaussian,
     data: SplitDataset,
-    floor: float = RATIO_FLOOR,
-    cap: float = RATIO_CAP,
 ) -> RatioWeights:
     """Evaluate both clipped ratios from known sampling densities."""
     if data.n_unlabeled == 0:
         raise DataError("ratios require unlabeled data")
     return RatioWeights(
-        r_labeled=exact_ratio(unlabeled_density, labeled_density, data.labeled_x, floor, cap),
-        s_unlabeled=exact_ratio(labeled_density, unlabeled_density, data.unlabeled_x, floor, cap),
+        r_labeled=exact_ratio(unlabeled_density, labeled_density, data.labeled_x),
+        s_unlabeled=exact_ratio(labeled_density, unlabeled_density, data.unlabeled_x),
     )
 
 
@@ -136,9 +134,6 @@ def weights_from_exact(
 
 @dataclass(frozen=True)
 class UlsifConfig:
-    sigma_factors: Sequence[float] = DEFAULT_SIGMA_FACTORS
-    rho_values: Sequence[float] = DEFAULT_RHO_VALUES
-    max_centers: int = DEFAULT_MAX_CENTERS
     ratio_floor: float = RATIO_FLOOR
     ratio_cap: float = RATIO_CAP
 
@@ -224,15 +219,15 @@ def ulsif_fit(
     candidate_sigmas: Sequence[float],
     candidate_rhos: Sequence[float],
     seed: Seed,
-    max_centers: int = DEFAULT_MAX_CENTERS,
     ratio_floor: float = RATIO_FLOOR,
     ratio_cap: float = RATIO_CAP,
 ) -> UlsifModel:
     """Fit kernel coefficients alpha so that sum_l alpha_l k(x, c_l) ~ ratio.
 
-    Centers are subsampled from the numerator set. Every (sigma, rho) pair
-    is scored by the closed-form leave-one-out criterion; the winner's
-    coefficients solve (H + rho I) alpha = h and are clipped at zero.
+    At most DEFAULT_MAX_CENTERS centers are subsampled from the numerator
+    set. Every (sigma, rho) pair is scored by the closed-form leave-one-out
+    criterion; the winner's coefficients solve (H + rho I) alpha = h and
+    are clipped at zero.
     """
     x_nu = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
     x_de = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
@@ -248,7 +243,7 @@ def ulsif_fit(
         raise ParameterError("kernel widths and ridge values must be positive")
 
     rng = make_rng(seed)
-    b = min(max_centers, x_nu.shape[0])
+    b = min(DEFAULT_MAX_CENTERS, x_nu.shape[0])
     centers = x_nu[rng.choice(x_nu.shape[0], size=b, replace=False)]
 
     best = (np.inf, 0, 0)  # (score, sigma index, rho index)
@@ -293,35 +288,33 @@ def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
 
 def weights_from_ulsif(
     data: SplitDataset,
-    config: Optional[UlsifConfig] = None,
+    config: UlsifConfig = UlsifConfig(),
     seed: Seed = 0,
 ) -> RatioWeights:
     """Estimate r = q_unlabeled/q_labeled on one split with one fit.
 
-    The width grid is the configured factors times the median pairwise
-    distance of the pooled covariates. s_unlabeled is 1/r at the unlabeled
-    points from the same model, clipped like r; it cannot move a fit (see
-    sslogit.em).
+    The width grid is DEFAULT_SIGMA_FACTORS times the median pairwise
+    distance of the pooled covariates, and the ridge grid is
+    DEFAULT_RHO_VALUES. s_unlabeled is 1/r at the unlabeled points from
+    the same model, clipped like r; it cannot move a fit (see sslogit.em).
     """
-    cfg = config or UlsifConfig()
     if data.n_unlabeled == 0:
         raise DataError("ratios require unlabeled data")
     pooled = np.vstack([data.labeled_x, data.unlabeled_x])
     scale = median_pairwise_distance(pooled)
-    sigmas = [f * scale for f in cfg.sigma_factors]
+    sigmas = [f * scale for f in DEFAULT_SIGMA_FACTORS]
 
     r_model = ulsif_fit(
         numerator_samples=data.unlabeled_x,
         denominator_samples=data.labeled_x,
         candidate_sigmas=sigmas,
-        candidate_rhos=cfg.rho_values,
+        candidate_rhos=DEFAULT_RHO_VALUES,
         seed=derive_seed(seed, 1),
-        max_centers=cfg.max_centers,
-        ratio_floor=cfg.ratio_floor,
-        ratio_cap=cfg.ratio_cap,
+        ratio_floor=config.ratio_floor,
+        ratio_cap=config.ratio_cap,
     )
     r_unlabeled = ulsif_predict(r_model, data.unlabeled_x)
     return RatioWeights(
         r_labeled=ulsif_predict(r_model, data.labeled_x),
-        s_unlabeled=np.clip(1.0 / r_unlabeled, cfg.ratio_floor, cfg.ratio_cap),
+        s_unlabeled=np.clip(1.0 / r_unlabeled, config.ratio_floor, config.ratio_cap),
     )

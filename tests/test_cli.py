@@ -15,14 +15,13 @@ import sslogit
 import sslogit.cli as cli_mod
 from sslogit.cli import main
 from sslogit.data import make_rng
-from sslogit.errors import NumericalError
+from sslogit.errors import DataError, NumericalError, ParameterError, SslogitError
 from sslogit.experiments import BENCHMARK_SPECS
 
 # Lists that begin with a minus sign must use the = form, otherwise the
 # argument parser reads them as option names.
 TINY_GRID = [
     "--grid-gamma1=0.0,0.5",
-    "--grid-gamma2=0.0",
     "--grid-log10-lambda=-1.0,0.0",
 ]
 
@@ -158,7 +157,7 @@ class TestFitPredictRoundTrip:
 
 
 class TestFitFlags:
-    """gamma2 is accepted and has no effect; the EM flags are gone."""
+    """gamma2 is accepted and has no effect; the EM and no-op flags are gone."""
 
     def fit_args(self, workdir, gamma2, model):
         return [
@@ -178,10 +177,21 @@ class TestFitFlags:
             coefs.append(doc["coefficients"])
         assert coefs[0] == coefs[1]
 
-    def test_removed_em_flag_is_a_usage_error(self, workdir, capsys):
-        argv = self.fit_args(workdir, "0.5", workdir / "m.json") + ["--epsilon", "1e-3"]
-        assert main(argv) == 1
-        assert "--epsilon" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("fit", "--epsilon", "1e-3"),
+            ("fit", "--test", "x.csv"),
+            ("select", "--grid-gamma2", "0.0"),
+        ],
+        ids=["epsilon", "test", "grid-gamma2"],
+    )
+    def test_removed_em_flag_is_a_usage_error(self, workdir, capsys, command, flag, value):
+        argv = self.fit_args(workdir, "0.5", workdir / "m.json")
+        if command == "select":
+            argv = ["select", "--labeled", str(workdir / "labeled.csv"), "--methods", "slr"]
+        assert main(argv + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestModelValidation:
@@ -325,17 +335,46 @@ class TestSelect:
             )
         assert results["lsslr"] == results["slr"]
 
-    def test_numerical_failure_exit_code(self, workdir, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "error, code",
+        [(ParameterError, 1), (DataError, 2), (NumericalError, 3), (SslogitError, 1)],
+        ids=["ParameterError", "DataError", "NumericalError", "SslogitError"],
+    )
+    def test_numerical_failure_exit_code(self, workdir, monkeypatch, capsys, error, code):
         def boom(*args, **kwargs):
-            raise NumericalError("all 4 grid candidates failed")
+            raise error("all 4 grid candidates failed")
 
         monkeypatch.setattr(cli_mod, "grid_search", boom)
-        code = main([
+        assert main([
             "select", "--labeled", str(workdir / "labeled.csv"),
             "--methods", "slr", *TINY_GRID,
-        ])
-        assert code == 3
+        ]) == code
         assert "grid candidates failed" in capsys.readouterr().err
+
+    def test_ratio_weights_are_fit_only_for_sslrcs(self, workdir, monkeypatch):
+        # slr and lsslr never read the ratio weights, so a request without
+        # sslrcs must not pay for a uLSIF fit.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sslogit.weights_from_ulsif(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "weights_from_ulsif", counting)
+        results = {}
+        for methods in ("slr,lsslr", "sslrcs,lsslr,slr"):
+            calls.clear()
+            path = workdir / f"select-{methods}.json"
+            assert main([
+                "select", "--labeled", str(workdir / "labeled.csv"),
+                "--unlabeled", str(workdir / "unlabeled.csv"),
+                "--methods", methods, "--output", str(path), *TINY_GRID,
+            ]) == 0
+            results[methods] = (len(calls), json.loads(path.read_text())["methods"])
+        assert results["slr,lsslr"][0] == 0
+        assert results["sslrcs,lsslr,slr"][0] == 1
+        for m in ("slr", "lsslr"):
+            assert results["slr,lsslr"][1][m] == results["sslrcs,lsslr,slr"][1][m]
 
 
 class TestExitCodes:
@@ -390,6 +429,42 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "unknown method" in capsys.readouterr().err
+
+    def test_repeated_method_name(self, workdir, capsys):
+        code = main([
+            "select", "--labeled", str(workdir / "labeled.csv"), "--methods", "slr,slr",
+        ])
+        assert code == 1
+        assert "repeated method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sim2", "--n", "25"], "--n"),
+            (["sim1", "--case", "3"], "--case"),
+            (["sim1", "--dataset", "synthetic"], "--dataset"),
+            (["sim2", "--fractions", "20"], "--fractions"),
+            (["sim1", "--n", "25", "--standardize"], "--standardize"),
+            (["bench", "--dataset", "synthetic", "--standardize"], "--standardize"),
+            (["bench", "--dataset", "synthetic", "--data-dir", "/nonexistent"], "--data-dir"),
+            (["bench", "--dataset", "synthetic", "--no-strict"], "--no-strict"),
+        ],
+        ids=[
+            "n-sim2", "case-sim1", "dataset-sim1", "fractions-sim2",
+            "standardize-sim1", "standardize-synthetic", "data-dir-synthetic",
+            "no-strict-synthetic",
+        ],
+    )
+    def test_replicate_flag_outside_its_study(self, tmp_path, capsys, argv, flag):
+        # The study would ignore the flag, yet the JSON would record it.
+        output = tmp_path / "out.json"
+        code = main([
+            "replicate", *argv, "--trials", "1", "--methods", "slr",
+            "--output", str(output), *TINY_GRID,
+        ])
+        assert code == 1
+        assert f"error: {flag} does not apply" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_replicate_bench_needs_dataset(self, capsys):
         code = main(["replicate", "bench", "--trials", "1"])

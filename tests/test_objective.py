@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import sslogit.objective as objective_mod
 from sslogit.data import SplitDataset, build_design, make_rng
 from sslogit.errors import NumericalError, ParameterError
 from sslogit.objective import (
-    NewtonConfig,
     TuningParams,
     gradient,
     hessian,
@@ -238,10 +238,9 @@ class TestNewton:
         w_hat, _ = newton_maximize(np.zeros(3), data, weights, t, params)
         assert np.linalg.norm(gradient(w_hat, data, weights, t, params)) <= 1e-8
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
         data, weights, t, params, _ = make_instance(10, 5, 2, seed=9)
-        _, diag = newton_maximize(
-            np.zeros(3), data, weights, t, params, NewtonConfig(max_iters=1)
-        )
+        monkeypatch.setattr(objective_mod, "MAX_ITERS", 1)
+        _, diag = newton_maximize(np.zeros(3), data, weights, t, params)
         assert diag.status in ("max-iterations", "converged")
         assert diag.iterations <= 1

@@ -229,11 +229,11 @@ class TestUlsifFit:
         )
         assert np.all(model.alpha >= 0)
 
-    def test_center_count_capped(self):
+    def test_center_count_capped(self, monkeypatch):
         rng = make_rng(7)
+        monkeypatch.setattr(ratios_mod, "DEFAULT_MAX_CENTERS", 12)
         model = ulsif_fit(
-            rng.normal(size=(50, 1)), rng.normal(size=(50, 1)),
-            [1.0], [0.1], seed=0, max_centers=12,
+            rng.normal(size=(50, 1)), rng.normal(size=(50, 1)), [1.0], [0.1], seed=0,
         )
         assert model.centers.shape == (12, 1)
 
@@ -297,10 +297,12 @@ class TestWeightsFromUlsif:
         s_expected = np.clip(1.0 / ulsif_predict(r_model, data.unlabeled_x), 0.7, 1.2)
         np.testing.assert_array_equal(w.s_unlabeled, s_expected)
 
-    def test_config_widths_scale_with_median_distance(self):
+    def test_config_widths_scale_with_median_distance(self, monkeypatch):
         # A tiny one-factor grid still produces a valid fit; the factor is
         # applied to the pooled median distance rather than used raw.
         data = make_split(30, 30, 1, seed=12)
-        cfg = UlsifConfig(sigma_factors=(1.0,), rho_values=(0.1,), max_centers=10)
-        w = weights_from_ulsif(data, cfg, seed=0)
+        monkeypatch.setattr(ratios_mod, "DEFAULT_SIGMA_FACTORS", (1.0,))
+        monkeypatch.setattr(ratios_mod, "DEFAULT_RHO_VALUES", (0.1,))
+        monkeypatch.setattr(ratios_mod, "DEFAULT_MAX_CENTERS", 10)
+        w = weights_from_ulsif(data, seed=0)
         assert np.all(np.isfinite(w.r_labeled))
