@@ -181,6 +181,8 @@ def _load_user_data(
     when it is among the methods; otherwise the weights are ones."""
     weighted = "sslrcs" in methods
     labeled_x, labeled_y = read_csv(args.labeled, has_label=True)
+    if np.unique(labeled_y).size < 2:
+        raise DataError(f"{args.labeled}: labeled rows must include both classes")
     if args.unlabeled:
         unlabeled_x, _ = read_csv(args.unlabeled, has_label=False)
     elif weighted:
@@ -443,11 +445,11 @@ def cmd_replicate(args) -> int:
 
     experiments = []
     if study == "sim1":
-        ns = [args.n] if args.n else list(SIM1_N_LABELED)
+        ns = [args.n] if args.n is not None else list(SIM1_N_LABELED)
         for n in ns:
             experiments.append((f"n={n}", sim1_experiment(n)))
     elif study == "sim2":
-        cases = [args.case] if args.case else list(SIM2_CASES)
+        cases = [args.case] if args.case is not None else list(SIM2_CASES)
         for c in cases:
             experiments.append((f"case={c}", sim2_experiment(c)))
     else:

@@ -108,8 +108,7 @@ class SplitDataset:
     @cached_property
     def stacked_design(self) -> np.ndarray:
         """build_design of the labeled rows followed by the unlabeled rows."""
-        x = np.vstack([self.labeled_x, self.unlabeled_x])
-        design = np.hstack([np.ones((x.shape[0], 1)), x])
+        design = build_design(np.vstack([self.labeled_x, self.unlabeled_x]))
         design.flags.writeable = False
         return design
 

@@ -38,7 +38,6 @@ from .objective import (
     _FAILED,
     NewtonDiagnostics,
     TuningParams,
-    _batch_objective,
     _newton_batch,
     _NewtonBatchState,
     newton_maximize,
@@ -136,8 +135,7 @@ def fit_step1_batch(
     n1 = data.n_labeled
     yt = np.broadcast_to(y, (lams.size, n1))
     w0 = np.zeros((lams.size, x_lab.shape[1]))
-    obj0 = _batch_objective(w0, x_lab, vr, yt, lams, n1)
-    return _newton_batch(x_lab, vr, yt, lams, n1, w0, obj0)
+    return _newton_batch(x_lab, vr, yt, lams, n1, w0)
 
 
 def fitted_model(

@@ -9,8 +9,9 @@ weights alone.
 
 One kernel, gic_column, scores a whole ridge column at once: B coefficient
 rows that share the labeled block and weights, each with its own ridge
-value. The grid search calls it once per gamma1 column; the single-model
-functions below are batch-of-one wrappers around it.
+value. It reads the posterior, score, R and NLL from the Newton kernel in
+objective and adds only Q and the trace; the single-model functions below
+are batch-of-one wrappers around it.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
 
 from .data import SplitDataset
 from .data import build_design  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .em import FittedModel
 from .errors import NumericalError
 from .objective import TuningParams, power_weights
+from .objective import _batch_hessian, _batch_loglik, _batch_posterior, _batch_score
 from .ratios import RatioWeights
 
 
@@ -93,30 +94,21 @@ def gic_column(
     """Q, R, weighted NLL and trace term for every row of w (B, d).
 
     All rows share the labeled block of data and the per-point weights eta;
-    lams holds each row's ridge value. The matrix-vector products run row
-    by row: one batched product sums in another order, which moves the
-    criterion in its last bits and can reorder near-tied candidates.
+    lams holds each row's ridge value. The posterior, the score, R (minus
+    the Hessian over n1) and the NLL are the Newton kernel's own pieces, so
+    each row equals its single-model score bit for bit.
     """
     x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
     n1 = data.n_labeled
     lams = np.asarray(lams, dtype=np.float64)
-    z = np.array([x_lab @ wb for wb in w]).reshape(len(w), n1)
-    pi = expit(z)
+    pi = _batch_posterior(w, x_lab)
+    score = _batch_score(pi, x_lab, eta, y)
     u = eta * (y - pi)  # per-point score weight on the design row
-    score = np.array([ub @ x_lab for ub in u]).reshape(w.shape)
-    kw = w.copy()
-    kw[:, 0] = 0.0
-    xt = x_lab.T[None]
-    q = (xt * (u**2)[:, None, :]) @ x_lab
-    q -= lams[:, None, None] * (kw[:, :, None] * score[:, None, :])
-    r = (xt * (eta * pi * (1.0 - pi))[:, None, :]) @ x_lab
-    r = 0.5 * (r + r.transpose(0, 2, 1))
-    idx = np.arange(1, x_lab.shape[1])
-    r[:, idx, idx] += n1 * lams[:, None]
+    q = (x_lab.T[None] * (u**2)[:, None, :]) @ x_lab
+    q[:, 1:] -= lams[:, None, None] * (w[:, 1:, None] * score[:, None, :])
     q /= n1
-    r /= n1
-    loglik = y * z - np.logaddexp(0.0, z)
-    nll = -2.0 * np.array([eta @ row for row in loglik])
+    r = -_batch_hessian(pi, x_lab, eta, lams, n1) / n1
+    nll = -2.0 * _batch_loglik(w, x_lab, eta, y)
     return GicColumn(q=q, r=r, weighted_nll=nll, trace_term=_trace_terms(q, r))
 
 

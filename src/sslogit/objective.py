@@ -8,9 +8,9 @@ adding unlabeled rows never changes the penalty strength.
 
 The objective, its gradient and Hessian, and the damped Newton loop are
 written once, for a batch of B coefficient vectors that share the rows and
-their weights and differ in ridge value and soft targets; the grid search
-runs one ridge column as one batch. weighted_objective, gradient, hessian
-and newton_maximize are batches of one.
+their weights and differ in ridge value and soft targets. No row's value
+depends on its batch (see _rowwise): a fit run alone equals its row of a
+ridge column bit for bit, and gic reads its criterion pieces from here.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ def posterior(w: np.ndarray, x_star: np.ndarray):
 
 def loglik_labeled(w: np.ndarray, design: np.ndarray, y: np.ndarray) -> float:
     """Unweighted, unpenalized binomial log-likelihood on labeled rows."""
-    z = design @ np.asarray(w, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return float(y @ z - np.logaddexp(0.0, z).sum())
+    w = np.asarray(w, dtype=np.float64)[None]
+    return float(_batch_loglik(w, design, 1.0, y)[0])
 
 
 def power_weights(values: np.ndarray, gamma: float) -> np.ndarray:
@@ -86,19 +85,14 @@ def power_weights(values: np.ndarray, gamma: float) -> np.ndarray:
 
 def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve H delta = g with one jittered retry before giving up."""
-    try:
-        delta = np.linalg.solve(h, g)
-        if np.all(np.isfinite(delta)):
-            return delta
-    except np.linalg.LinAlgError:
-        pass
     jitter = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(h, 0, -2, -1)))))
-    try:
-        delta = np.linalg.solve(h - jitter * np.eye(h.shape[-1]), g)
-        if np.all(np.isfinite(delta)):
-            return delta
-    except np.linalg.LinAlgError:
-        pass
+    for bump in (0.0, jitter):
+        try:
+            delta = np.linalg.solve(h - bump * np.eye(h.shape[-1]), g)
+            if np.all(np.isfinite(delta)):
+                return delta
+        except np.linalg.LinAlgError:
+            pass
     raise NumericalError("singular Hessian")
 
 
@@ -126,22 +120,41 @@ class _NewtonBatchState:
         )
 
 
+def _rowwise(a, m):
+    """a (B, k) @ m (k, n) row by row: numpy's stacked matmul makes one
+    BLAS call per row. One batched product sums in an order that depends
+    on B, which moves a fit and its criterion in their last bits and can
+    reorder near-tied candidates."""
+    return (a[:, None, :] @ m)[:, 0]
+
+
+def _batch_loglik(w, x, v, yt):
+    """Weighted, unpenalized log-likelihood per row."""
+    z = _rowwise(w, x.T)
+    return ((yt * z - np.logaddexp(0.0, z)) * v).sum(axis=1)
+
+
 def _batch_objective(w, x, v, yt, lams, n1):
-    z = w @ x.T
-    fit = ((yt * z - np.logaddexp(0.0, z)) * v).sum(axis=1)
     pen = (w[:, 1:] ** 2).sum(axis=1)
-    return fit - 0.5 * n1 * lams * pen
+    return _batch_loglik(w, x, v, yt) - 0.5 * n1 * lams * pen
 
 
-def _batch_gradient(w, x, v, yt, lams, n1):
-    pi = expit(w @ x.T)
-    g = ((yt - pi) * v) @ x
+def _batch_posterior(w, x):
+    return expit(_rowwise(w, x.T))
+
+
+def _batch_score(pi, x, v, yt):
+    """Unpenalized gradient per row, at the posterior pi (B, n)."""
+    return _rowwise((yt - pi) * v, x)
+
+
+def _batch_gradient(pi, w, x, v, yt, lams, n1):
+    g = _batch_score(pi, x, v, yt)
     g[:, 1:] -= (n1 * lams)[:, None] * w[:, 1:]
     return g
 
 
-def _batch_hessian(w, x, v, yt, lams, n1):
-    pi = expit(w @ x.T)
+def _batch_hessian(pi, x, v, lams, n1):
     d = v * pi * (1.0 - pi)
     tmp = d[:, :, None] * x[None, :, :]
     h = -np.matmul(tmp.transpose(0, 2, 1), x)
@@ -172,19 +185,18 @@ def _batch_solve(h, g):
     return delta, failed
 
 
-def _newton_batch(x, v, yt, lams, n1, w0, obj0) -> _NewtonBatchState:
+def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
     B candidates at once.
 
     yt has shape (B, n); rows differ only through the imputed targets.
-    obj0 is the objective at w0, which every caller already holds. Full
-    steps are halved until the objective strictly increases. Candidates
+    Full steps are halved until the objective strictly increases. Candidates
     retire independently: small gradient, sub-tolerance improvement,
     exhausted line search, or a solver failure.
     """
     n_batch, dim = w0.shape
     w = w0.copy()
-    obj = np.array(obj0, dtype=np.float64)
+    obj = _batch_objective(w, x, v, yt, lams, n1)
     iters = np.zeros(n_batch, dtype=np.int64)
     hit_max = np.ones(n_batch, dtype=bool)
     failed = np.zeros(n_batch, dtype=bool)
@@ -192,23 +204,19 @@ def _newton_batch(x, v, yt, lams, n1, w0, obj0) -> _NewtonBatchState:
     for _ in range(MAX_ITERS):
         if active.size == 0:
             break
-        g = _batch_gradient(w[active], x, v, yt[active], lams[active], n1)
+        pi = _batch_posterior(w[active], x)
+        g = _batch_gradient(pi, w[active], x, v, yt[active], lams[active], n1)
         small = np.linalg.norm(g, axis=1) <= GRAD_TOL
         hit_max[active[small]] = False
         active = active[~small]
         if active.size == 0:
             break
         g = g[~small]
-        h = _batch_hessian(w[active], x, v, yt[active], lams[active], n1)
+        h = _batch_hessian(pi[~small], x, v, lams[active], n1)
         delta, solve_failed = _batch_solve(h, g)
-        if solve_failed.any():
-            bad = active[solve_failed]
-            failed[bad] = True
-            hit_max[bad] = False
-            active = active[~solve_failed]
-            delta = delta[~solve_failed]
-            if active.size == 0:
-                break
+        failed[active[solve_failed]] = True
+        active = active[~solve_failed]
+        delta = delta[~solve_failed]
         w_act = w[active]
         yt_act = yt[active]
         lam_act = lams[active]
@@ -235,9 +243,8 @@ def _newton_batch(x, v, yt, lams, n1, w0, obj0) -> _NewtonBatchState:
         stalled = accepted & (improvement <= OBJ_TOL)
         hit_max[active[stalled]] = False
         active = active[accepted & (improvement > OBJ_TOL)]
-    grad_norm = np.linalg.norm(
-        _batch_gradient(w, x, v, yt, lams, n1), axis=1
-    )
+    g = _batch_gradient(_batch_posterior(w, x), w, x, v, yt, lams, n1)
+    grad_norm = np.linalg.norm(g, axis=1)
     status = []
     for i in range(n_batch):
         if failed[i]:
@@ -312,7 +319,8 @@ def gradient(
     t: np.ndarray,
     params: TuningParams,
 ) -> np.ndarray:
-    return _batch_gradient(*_batch_of_one(w, data, weights, t, params))[0]
+    w, x, v, yt, lams, n1 = _batch_of_one(w, data, weights, t, params)
+    return _batch_gradient(_batch_posterior(w, x), w, x, v, yt, lams, n1)[0]
 
 
 def hessian(
@@ -322,7 +330,8 @@ def hessian(
     t: np.ndarray,
     params: TuningParams,
 ) -> np.ndarray:
-    return _batch_hessian(*_batch_of_one(w, data, weights, t, params))[0]
+    w, x, v, _, lams, n1 = _batch_of_one(w, data, weights, t, params)
+    return _batch_hessian(_batch_posterior(w, x), x, v, lams, n1)[0]
 
 
 def newton_maximize(
@@ -334,8 +343,7 @@ def newton_maximize(
 ) -> tuple[np.ndarray, NewtonDiagnostics]:
     """Maximize the objective at fixed targets t from init."""
     w, x, v, yt, lams, n1 = _batch_of_one(init, data, weights, t, params)
-    obj0 = _batch_objective(w, x, v, yt, lams, n1)
-    state = _newton_batch(x, v, yt, lams, n1, w, obj0)
+    state = _newton_batch(x, v, yt, lams, n1, w)
     if state.status[0] == _FAILED:
         raise NumericalError("singular Hessian")
     return state.w[0], state.diagnostics(0)

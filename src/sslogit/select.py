@@ -5,9 +5,10 @@ Three method flavors share the machinery: the weighted fit searches over
 lambda alone and, since the EM step cannot move a fit (see em), coincide.
 The gamma2 grid is accepted and ignored: every candidate is recorded with
 gamma2 = 0. The search works on arrays: each ridge column is one
-em.fit_step1_batch call, its fitted rows are scored by one gic.gic_column
+em.fit_step1_batch call, the whole column is scored by one gic.gic_column
 call with the matching weights (r^gamma1 for the weighted method, ones for
-the baselines), and only the winner is built into a FittedModel.
+the baselines), a failed fit's score is dropped as "singular Hessian", and
+only the winner is built into a FittedModel.
 """
 
 from __future__ import annotations
@@ -109,18 +110,17 @@ def grid_search(
     for gamma1, wts in columns:
         state = fit_step1_batch(data, wts, gamma1, lams)
         states.append(state)
-        ok = np.array([status != _FAILED for status in state.status])
-        eta = power_weights(wts.r_labeled, gamma1)
-        col = gic_column(state.w[ok], data, eta, lams[ok])
-        for lam, fitted, b in zip(lams, ok, np.cumsum(ok) - 1):
+        col = gic_column(state.w, data, power_weights(wts.r_labeled, gamma1), lams)
+        for b, (lam, status) in enumerate(zip(lams, state.status)):
             params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(lam))
+            fitted = status != _FAILED
             report, err = None, "singular Hessian"
             if fitted:
                 try:
                     report, err = col.report(b, params), None
                 except NumericalError as exc:
                     err = str(exc)
-            records.append(CandidateRecord(params, report, bool(fitted), err))
+            records.append(CandidateRecord(params, report, fitted, err))
 
     scored = [
         (r.report.gic, r.params.lam, r.params.gamma1, k)

@@ -466,6 +466,41 @@ class TestExitCodes:
         assert f"error: {flag} does not apply" in capsys.readouterr().err
         assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sim1", "--n", "0"], "sample sizes must be positive"),
+            (["sim2", "--case", "0"], "case must be one of"),
+        ],
+        ids=["n-0", "case-0"],
+    )
+    def test_replicate_zero_setting_is_rejected(self, tmp_path, capsys, argv, message):
+        # 0 is a given value, not a missing flag: it must not run every setting.
+        output = tmp_path / "out.json"
+        code = main([
+            "replicate", *argv, "--trials", "1", "--methods", "slr",
+            "--output", str(output), *TINY_GRID,
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("label", ["0", "1"])
+    @pytest.mark.parametrize("command", ["select", "fit"])
+    def test_one_class_labeled_block_is_a_data_error(self, tmp_path, capsys, command, label):
+        # A one-class block has no finite maximizer; the fit would report a
+        # saturated intercept as converged.
+        path = tmp_path / "one_class.csv"
+        path.write_text("x0,label\n" + "".join(f"{0.1 * i},{label}\n" for i in range(20)))
+        output = tmp_path / "out.json"
+        if command == "select":
+            argv = ["select", "--methods", "slr", "--output", str(output)]
+        else:
+            argv = ["fit", "--method", "slr", "--model-out", str(output)]
+        assert main(argv + ["--labeled", str(path)]) == 2
+        assert "labeled rows must include both classes" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_replicate_bench_needs_dataset(self, capsys):
         code = main(["replicate", "bench", "--trials", "1"])
         assert code == 1

@@ -26,6 +26,7 @@ from sslogit.objective import (
     weighted_objective,
 )
 from sslogit.ratios import RatioWeights, unit_weights
+from sslogit.select import default_grid
 
 
 def make_instance(n1, n0, p, seed, gamma1=0.5, gamma2=0.5, lam=0.1):
@@ -360,7 +361,8 @@ class TestBatchedFits:
         batch = fit_lambda_batch(data, weights, 0.7, 0.3, lams)
         for lam, model in zip(lams, batch.models):
             solo = fit_semisupervised(data, weights, TuningParams(0.7, 0.3, lam))
-            np.testing.assert_allclose(model.w, solo.w, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(model.w, solo.w)
+            assert model.newton_diagnostics == solo.newton_diagnostics
             assert model.em_iterations == solo.em_iterations
             assert model.converged == solo.converged
 
@@ -370,7 +372,7 @@ class TestBatchedFits:
         batch = fit_step1_batch(data, weights, 0.4, lams)
         for lam, w_b in zip(lams, batch.w):
             w_s = fit_step1(data, weights, TuningParams(0.4, 0.0, lam))
-            np.testing.assert_allclose(w_b, w_s, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(w_b, w_s)
 
     def test_labeled_only_batch_matches_supervised(self):
         data, weights, _ = make_instance(16, 9, 2, seed=20)
@@ -378,7 +380,24 @@ class TestBatchedFits:
         batch = fit_lambda_batch(data, weights, 0.2, 0.0, lams)
         for lam, model in zip(lams, batch.models):
             solo = fit_supervised(data, weights, TuningParams(0.2, 0.0, lam))
-            np.testing.assert_allclose(model.w, solo.w, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(model.w, solo.w)
+
+    def test_every_column_row_equals_its_solo_fit(self):
+        # A ridge column and the same fits run one lambda at a time must
+        # agree bit for bit, Newton status and iteration count included,
+        # on random instances: the rounding may not depend on the batch.
+        lams = np.power(10.0, np.asarray(default_grid().log10_lambda_values))
+        gammas = default_grid().gamma1_values
+        for seed in range(100):
+            rng = make_rng(9000 + seed)
+            n1, n0, p = rng.integers(10, 60), rng.integers(5, 100), rng.integers(1, 6)
+            data, weights, _ = make_instance(int(n1), int(n0), int(p), seed=int(seed))
+            gamma1 = float(gammas[seed % len(gammas)])
+            column = fit_step1_batch(data, weights, gamma1, lams)
+            for i, lam in enumerate(lams):
+                solo = fit_step1_batch(data, weights, gamma1, [lam])
+                np.testing.assert_array_equal(column.w[i], solo.w[0])
+                assert column.diagnostics(i) == solo.diagnostics(0)
 
 
 class TestPredict:

@@ -1,12 +1,14 @@
 """Study generators, benchmark ingestion, and the Monte Carlo driver."""
 
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sslogit.data import SplitDataset, make_rng
+from sslogit.data import SplitDataset, make_rng, read_csv
 from sslogit.errors import DataError, ParameterError
 from sslogit.experiments import (
     BENCHMARK_FRACTIONS,
@@ -237,6 +239,26 @@ class TestLoadBenchmark:
         bad.write_text("")
         with pytest.raises(DataError, match="empty"):
             load_benchmark("pima", tmp_path)
+
+    def test_convert_script_output_loads(self, tmp_path, capsys):
+        # scripts/convert_benchmarks.py must write what the loader reads: a
+        # seeded reshuffle of the input rows, split at the published sizes.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "convert_benchmarks.py"
+        spec = importlib.util.spec_from_file_location("convert_benchmarks", script)
+        convert = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(convert)
+        raw = tmp_path / "g10.csv"
+        write_csv(raw, 550, 10, seed=4)
+        out = tmp_path / "data"
+        assert convert.main(["g10", "--input", str(raw), "--output-dir", str(out)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        train_x, train_y, test_x, test_y = load_benchmark("g10", out)
+        assert train_x.shape == (250, 10)
+        assert test_x.shape == (300, 10)
+        raw_x, raw_y = read_csv(raw, has_label=True)
+        pooled = np.column_stack([np.vstack([train_x, test_x]), np.r_[train_y, test_y]])
+        original = np.column_stack([raw_x, raw_y])
+        assert sorted(map(tuple, pooled)) == sorted(map(tuple, original))
 
     def test_fraction_table(self):
         assert BENCHMARK_FRACTIONS == (0.05, 0.10, 0.20, 0.30, 0.40, 0.50)

@@ -244,3 +244,35 @@ class TestNewton:
         _, diag = newton_maximize(np.zeros(3), data, weights, t, params)
         assert diag.status in ("max-iterations", "converged")
         assert diag.iterations <= 1
+
+
+class TestBatchIndependence:
+    """Every row of the batched kernel equals the same row run as a batch of
+    one, bit for bit, so a fit or a score never depends on its batch."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_equal_batches_of_one(self, seed):
+        rng = make_rng(500 + seed)
+        n, d, b = int(rng.integers(5, 120)), int(rng.integers(2, 7)), int(rng.integers(2, 16))
+        x = build_design(rng.normal(size=(n, d - 1)))
+        v = rng.uniform(0.2, 3.0, n)
+        yt = rng.uniform(0.0, 1.0, (b, n))
+        lams = np.power(10.0, rng.uniform(-4.0, 2.5, b))
+        w = rng.normal(scale=1.5, size=(b, d))
+        n1 = int(rng.integers(1, n + 1))
+
+        def pieces(rows):
+            pi = objective_mod._batch_posterior(w[rows], x)
+            return (
+                objective_mod._batch_objective(w[rows], x, v, yt[rows], lams[rows], n1),
+                pi,
+                objective_mod._batch_gradient(pi, w[rows], x, v, yt[rows], lams[rows], n1),
+                objective_mod._batch_hessian(pi, x, v, lams[rows], n1),
+                objective_mod._batch_score(pi, x, v, yt[rows]),
+                objective_mod._batch_loglik(w[rows], x, v, yt[rows]),
+            )
+
+        batch = pieces(slice(None))
+        for i in range(b):
+            for got, want in zip(batch, pieces(slice(i, i + 1))):
+                np.testing.assert_array_equal(got[i], want[0])

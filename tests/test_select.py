@@ -8,7 +8,7 @@ import sslogit.objective as objective_mod
 import sslogit.select as select_mod
 from sslogit.data import SplitDataset, make_rng
 import sslogit.gic as gic_mod
-from sslogit.em import e_step, fit_lambda_batch, fit_semisupervised, fit_step1_batch
+from sslogit.em import e_step, fit_semisupervised, fit_step1_batch
 from sslogit.errors import NumericalError, ParameterError
 from sslogit.gic import gic_lsslr, gic_score, gic_slr
 from sslogit.objective import TuningParams
@@ -155,25 +155,27 @@ class TestColumnScoring:
 
     @pytest.mark.parametrize("method", ["sslrcs", "lsslr", "slr"])
     def test_records_equal_solo_scores(self, method):
+        # Bit for bit: each candidate is refitted and scored on its own.
         data, weights = make_instance(15, 10, 2, seed=11)
         res = grid_search(data, weights, TINY, method=method)
         lams = np.power(10.0, np.asarray(TINY.log10_lambda_values))
         gamma1s = TINY.gamma1_values if method == "sslrcs" else (0.0,)
         solo = []
         for g1 in gamma1s:
-            if method == "sslrcs":
-                fits = fit_lambda_batch(data, weights, g1, 0.0, lams)
-                solo += [gic_score(m, data, weights) for m in fits.models]
-            else:
-                fits = fit_lambda_batch(data, unit_weights(data), 0.0, 0.0, lams)
-                score = gic_lsslr if method == "lsslr" else gic_slr
-                solo += [score(m, data) for m in fits.models]
+            for lam in lams:
+                params = TuningParams(g1, 0.0, float(lam))
+                if method == "sslrcs":
+                    model = fit_semisupervised(data, weights, params)
+                    solo.append(gic_score(model, data, weights))
+                else:
+                    model = fit_semisupervised(data, unit_weights(data), params)
+                    solo.append((gic_lsslr if method == "lsslr" else gic_slr)(model, data))
         assert len(res.candidates) == len(solo)
         for cand, ref in zip(res.candidates, solo):
             assert cand.error is None
             assert cand.params == ref.params
             assert cand.report.params is cand.params
-            assert cand.report.gic == pytest.approx(ref.gic, rel=1e-12)
+            assert cand.report == ref
 
     def test_degenerate_row_is_recorded_alone(self, monkeypatch):
         data, weights = make_instance(15, 10, 2, seed=12)
