@@ -178,7 +178,9 @@ def _load_user_data(
 ) -> tuple[SplitDataset, Optional[dict], RatioWeights]:
     """The user's CSVs, standardized if asked, with their standardization
     and ratio weights. Only sslrcs reads the weights, so uLSIF runs only
-    when it is among the methods; otherwise the weights are ones."""
+    when it is among the methods; otherwise the weights are ones. The
+    ratio flags are checked before any file is read."""
+    config = UlsifConfig(ratio_floor=args.ratio_floor, ratio_cap=args.ratio_cap)
     weighted = "sslrcs" in methods
     labeled_x, labeled_y = read_csv(args.labeled, has_label=True)
     if np.unique(labeled_y).size < 2:
@@ -201,15 +203,14 @@ def _load_user_data(
     )
     data, std = _standardized(data) if args.standardize else (data, None)
     if weighted:
-        config = UlsifConfig(ratio_floor=args.ratio_floor, ratio_cap=args.ratio_cap)
         return data, std, weights_from_ulsif(data, config, seed=args.seed)
     return data, std, unit_weights(data)
 
 
 def cmd_select(args) -> int:
     methods = _split_methods(args.methods)
-    data, std, weights = _load_user_data(args, methods, test=args.test)
     grid = _grid_from_args(args)
+    data, std, weights = _load_user_data(args, methods, test=args.test)
 
     col_labels = list(methods)
     field_rows = {name: [] for name in (

@@ -14,11 +14,12 @@ cannot learn from p(x) alone (Zhang & Oles, ICML 2000; Seeger, "Learning
 with labeled and unlabeled data", 2000).
 
 So a fitted model is the step-1 fit, with t_hat = e_step(w) and no EM
-iterations. fit_step1_batch fits a whole ridge column as arrays, and
-fitted_model turns one of its rows into a FittedModel: the grid search
-(sslogit.select) scores the arrays and builds a model for its winner
-alone. fit_lambda_batch builds a model for every row of a column;
-fit_semisupervised (alias fit_supervised) is a column of one lambda.
+iterations. fit_step1_batch fits a batch of (gamma1, lambda) rows as
+arrays, and fitted_model turns one of its rows into a FittedModel: the
+grid search (sslogit.select) fits and scores its whole grid as one batch
+and builds a model for its winner alone. fit_lambda_batch builds a model
+for every ridge value of one gamma1; fit_semisupervised (alias
+fit_supervised) is a batch of one.
 gamma2 is carried in the model's parameters and changes nothing. e_step
 and m_step stay as the two halves of the alternation, for checking the
 fixed point.
@@ -111,7 +112,7 @@ def predict(model: FittedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Batched fitting across a ridge column of the tuning grid
+# Batched fitting across the tuning grid
 # ---------------------------------------------------------------------------
 
 
@@ -126,22 +127,20 @@ class _BatchFits:
 def fit_step1_batch(
     data: SplitDataset,
     weights: RatioWeights,
-    gamma1: float,
+    gamma1: float | np.ndarray,
     lams: np.ndarray,
 ) -> _NewtonBatchState:
-    """Step-1 fits for one gamma1 and a whole ridge column (gamma2-free)."""
+    """Step-1 fits, one row per entry of lams, gamma1 shared or per row."""
     x_lab, vr, y = weighted_rows(data, weights, gamma1, 0.0)
     lams = np.asarray(lams, dtype=np.float64)
-    n1 = data.n_labeled
-    yt = np.broadcast_to(y, (lams.size, n1))
     w0 = np.zeros((lams.size, x_lab.shape[1]))
-    return _newton_batch(x_lab, vr, yt, lams, n1, w0)
+    return _newton_batch(x_lab, vr, y, lams, data.n_labeled, w0)
 
 
 def fitted_model(
     data: SplitDataset, state: _NewtonBatchState, i: int, params: TuningParams
 ) -> FittedModel:
-    """Row i of a fit_step1_batch column as a model, with t_hat = e_step(w)."""
+    """Row i of a fit_step1_batch state as a model, with t_hat = e_step(w)."""
     w = state.w[i].copy()
     return FittedModel(
         w=w,
@@ -162,7 +161,7 @@ def fit_lambda_batch(
     lams: np.ndarray,
 ) -> _BatchFits:
     """Fitted models for every ridge value of one gamma1, from one
-    fit_step1_batch column.
+    fit_step1_batch call.
 
     gamma2 is recorded in each model's parameters and has no other effect.
     A failed candidate's model is None and its error is "singular Hessian".

@@ -7,9 +7,9 @@ over the labeled count. Only labeled points and the r-direction weights
 enter; the unlabeled block influences the criterion through the ratio
 weights alone.
 
-One kernel, gic_column, scores a whole ridge column at once: B coefficient
-rows that share the labeled block and weights, each with its own ridge
-value. It reads the posterior, score, R and NLL from the Newton kernel in
+One kernel, gic_column, scores B coefficient rows at once: they share the
+labeled block, and each has its own ridge value and may have its own
+weights. It reads the posterior, score, R and NLL from the Newton kernel in
 objective and adds only Q and the trace; the single-model functions below
 are batch-of-one wrappers around it.
 """
@@ -93,8 +93,9 @@ def gic_column(
 ) -> GicColumn:
     """Q, R, weighted NLL and trace term for every row of w (B, d).
 
-    All rows share the labeled block of data and the per-point weights eta;
-    lams holds each row's ridge value. The posterior, the score, R (minus
+    All rows share the labeled block of data; eta holds the per-point
+    weights, shared (n1,) or one row each (B, n1), and lams each row's
+    ridge value. The posterior, the score, R (minus
     the Hessian over n1) and the NLL are the Newton kernel's own pieces, so
     each row equals its single-model score bit for bit.
     """

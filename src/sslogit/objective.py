@@ -7,10 +7,10 @@ intercept and is scaled by the labeled count n1, not the total count, so
 adding unlabeled rows never changes the penalty strength.
 
 The objective, its gradient and Hessian, and the damped Newton loop are
-written once, for a batch of B coefficient vectors that share the rows and
-their weights and differ in ridge value and soft targets. No row's value
+written once, for a batch of B coefficient vectors that share the design
+rows and differ in ridge value, row weights and targets. No row's value
 depends on its batch (see _rowwise): a fit run alone equals its row of a
-ridge column bit for bit, and gic reads its criterion pieces from here.
+whole grid bit for bit, and gic reads its criterion pieces from here.
 """
 
 from __future__ import annotations
@@ -69,18 +69,19 @@ def loglik_labeled(w: np.ndarray, design: np.ndarray, y: np.ndarray) -> float:
     return float(_batch_loglik(w, design, 1.0, y)[0])
 
 
-def power_weights(values: np.ndarray, gamma: float) -> np.ndarray:
-    """values**gamma as exp(gamma * log values) on positive clipped ratios.
+def power_weights(values: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
+    """values**gamma = exp(gamma * log values), a row per entry of a vector gamma.
 
     gamma = 0 yields exact ones (0 * log v == 0.0), so weighting switches
     off without any floating-point residue.
     """
-    if not 0.0 <= gamma <= 1.0:
+    g = np.asarray(gamma, dtype=np.float64)
+    if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
     v = np.asarray(values, dtype=np.float64)
     if np.any(v <= 0):
         raise ParameterError("power weights need positive inputs")
-    return np.exp(gamma * np.log(v))
+    return np.exp(np.multiply.outer(g, np.log(v)))
 
 
 def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -97,7 +98,7 @@ def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel: B coefficient rows share one design and one weight vector
+# Batched kernel: B coefficient rows share one design
 # ---------------------------------------------------------------------------
 
 _FAILED = "failed"
@@ -189,40 +190,41 @@ def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
     B candidates at once.
 
-    yt has shape (B, n); rows differ only through the imputed targets.
-    Full steps are halved until the objective strictly increases. Candidates
-    retire independently: small gradient, sub-tolerance improvement,
-    exhausted line search, or a solver failure.
+    Rows differ in ridge value lams (B,) and in weights v and targets yt,
+    each (B, n) or shared (n,). Full steps are halved until the objective
+    strictly increases. Candidates retire independently: small gradient,
+    sub-tolerance improvement, exhausted line search, or a solver failure.
     """
     n_batch, dim = w0.shape
+    v = np.broadcast_to(v, (n_batch, x.shape[0]))
+    yt = np.broadcast_to(yt, (n_batch, x.shape[0]))
     w = w0.copy()
     obj = _batch_objective(w, x, v, yt, lams, n1)
     iters = np.zeros(n_batch, dtype=np.int64)
-    hit_max = np.ones(n_batch, dtype=bool)
     failed = np.zeros(n_batch, dtype=bool)
     active = np.arange(n_batch)
     for _ in range(MAX_ITERS):
         if active.size == 0:
             break
         pi = _batch_posterior(w[active], x)
-        g = _batch_gradient(pi, w[active], x, v, yt[active], lams[active], n1)
+        g = _batch_gradient(pi, w[active], x, v[active], yt[active], lams[active], n1)
         small = np.linalg.norm(g, axis=1) <= GRAD_TOL
-        hit_max[active[small]] = False
         active = active[~small]
         if active.size == 0:
             break
         g = g[~small]
-        h = _batch_hessian(pi[~small], x, v, lams[active], n1)
+        h = _batch_hessian(pi[~small], x, v[active], lams[active], n1)
         delta, solve_failed = _batch_solve(h, g)
         failed[active[solve_failed]] = True
         active = active[~solve_failed]
         delta = delta[~solve_failed]
         w_act = w[active]
+        v_act = v[active]
         yt_act = yt[active]
         lam_act = lams[active]
         step = np.ones(active.size)
         w_try = w_act - delta
-        obj_try = _batch_objective(w_try, x, v, yt_act, lam_act, n1)
+        obj_try = _batch_objective(w_try, x, v_act, yt_act, lam_act, n1)
         need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
         for _ in range(MAX_HALVINGS):
             if not need.any():
@@ -230,19 +232,17 @@ def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
             step[need] *= 0.5
             w_try[need] = w_act[need] - step[need, None] * delta[need]
             obj_try[need] = _batch_objective(
-                w_try[need], x, v, yt_act[need], lam_act[need], n1
+                w_try[need], x, v_act[need], yt_act[need], lam_act[need], n1
             )
             need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
         accepted = ~need
         iters[active] += 1
-        hit_max[active[~accepted]] = False
         improvement = obj_try - obj[active]
         upd = active[accepted]
         w[upd] = w_try[accepted]
         obj[upd] = obj_try[accepted]
-        stalled = accepted & (improvement <= OBJ_TOL)
-        hit_max[active[stalled]] = False
         active = active[accepted & (improvement > OBJ_TOL)]
+    hit_max = np.isin(np.arange(n_batch), active)
     g = _batch_gradient(_batch_posterior(w, x), w, x, v, yt, lams, n1)
     grad_norm = np.linalg.norm(g, axis=1)
     status = []
@@ -266,14 +266,14 @@ def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
 def weighted_rows(
     data: SplitDataset,
     weights: RatioWeights,
-    gamma1: float,
+    gamma1: float | np.ndarray,
     gamma2: float,
     t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design, row weights (r^gamma1, s^gamma2) and targets (y, t).
 
     Labeled rows come first. Without t the unlabeled rows are left out,
-    which is the labeled-only (step-1) problem.
+    which is the labeled-only (step-1) problem, and gamma1 may be a vector.
     """
     if weights.r_labeled.shape[0] != data.n_labeled:
         raise ParameterError("r_labeled length must match the labeled count")

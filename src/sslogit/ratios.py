@@ -134,8 +134,17 @@ def weights_from_exact(
 
 @dataclass(frozen=True)
 class UlsifConfig:
+    """The clipping range [ratio_floor, ratio_cap] of estimated ratios."""
+
     ratio_floor: float = RATIO_FLOOR
     ratio_cap: float = RATIO_CAP
+
+    def __post_init__(self):
+        floor, cap = self.ratio_floor, self.ratio_cap
+        if not (np.isfinite(floor) and floor > 0.0):
+            raise ParameterError(f"ratio_floor must be positive and finite, got {floor}")
+        if not cap >= floor:
+            raise ParameterError(f"ratio_cap must be at least ratio_floor {floor}, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,7 @@ def median_pairwise_distance(x: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] < 2:
         raise DataError("median distance needs at least two points")
-    med = float(np.median(pdist(x)))
+    med = float(np.median(pdist(x), overwrite_input=True))
     # All-duplicate samples give zero; fall back to a unit scale.
     return med if med > 0 else 1.0
 

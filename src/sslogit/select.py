@@ -4,11 +4,11 @@ Three method flavors share the machinery: the weighted fit searches over
 (gamma1, lambda); the unit-weight and labeled-only baselines search over
 lambda alone and, since the EM step cannot move a fit (see em), coincide.
 The gamma2 grid is accepted and ignored: every candidate is recorded with
-gamma2 = 0. The search works on arrays: each ridge column is one
-em.fit_step1_batch call, the whole column is scored by one gic.gic_column
-call with the matching weights (r^gamma1 for the weighted method, ones for
-the baselines), a failed fit's score is dropped as "singular Hessian", and
-only the winner is built into a FittedModel.
+gamma2 = 0. The search works on arrays: every (gamma1, lambda) cell is one
+row of a single em.fit_step1_batch call, scored by a single gic.gic_column
+call with its weights r^gamma1. The baselines are the gamma1 = 0 rows,
+whose weights r^0 are exactly ones. A failed fit's score is dropped as
+"singular Hessian", and only the winner is built into a FittedModel.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import NumericalError, ParameterError
 from .gic import GicReport, gic_column
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .objective import _FAILED, TuningParams, power_weights
-from .ratios import RatioWeights, unit_weights
+from .ratios import RatioWeights
 
 METHODS = ("sslrcs", "lsslr", "slr")
 
@@ -52,8 +52,13 @@ class Grid:
         logs = tuple(float(v) for v in self.log10_lambda_values)
         if not logs:
             raise ParameterError("log10_lambda_values must be nonempty")
-        if any(not np.isfinite(v) for v in logs):
-            raise ParameterError("log10_lambda_values entries must be finite")
+        with np.errstate(over="ignore"):
+            lams = np.power(10.0, logs)
+        bad = [v for v, lam in zip(logs, lams) if not (np.isfinite(lam) and lam > 0.0)]
+        if bad:
+            raise ParameterError(
+                f"log10_lambda_values entries v must give a positive finite 10**v, got {bad[0]}"
+            )
         object.__setattr__(self, "log10_lambda_values", logs)
 
 
@@ -91,8 +96,9 @@ def grid_search(
 ) -> SelectionResult:
     """Fit and score every candidate; return the criterion minimizer.
 
-    The baselines drop the ratio weights and the gamma grids. No method
-    fits to the unlabeled block; it enters only through the ratio weights.
+    The baselines drop the gamma grids, so their one gamma1 = 0 weights
+    the rows by ones. No method fits to the unlabeled block; it enters
+    only through the ratio weights.
     Ties go to the first minimum of (gic, lambda, gamma1).
     """
     meth = str(method).lower()
@@ -100,27 +106,24 @@ def grid_search(
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     g = grid or default_grid()
     lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
-    if meth == "sslrcs":
-        columns = [(gamma1, weights) for gamma1 in g.gamma1_values]
-    else:
-        columns = [(0.0, unit_weights(data))]
+    gammas = np.asarray(g.gamma1_values if meth == "sslrcs" else (0.0,))
+    row_gammas = np.repeat(gammas, lams.size)
+    row_lams = np.tile(lams, gammas.size)
+    state = fit_step1_batch(data, weights, row_gammas, row_lams)
+    eta = power_weights(weights.r_labeled, row_gammas)
+    col = gic_column(state.w, data, eta, row_lams)
 
     records: list[CandidateRecord] = []
-    states = []
-    for gamma1, wts in columns:
-        state = fit_step1_batch(data, wts, gamma1, lams)
-        states.append(state)
-        col = gic_column(state.w, data, power_weights(wts.r_labeled, gamma1), lams)
-        for b, (lam, status) in enumerate(zip(lams, state.status)):
-            params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(lam))
-            fitted = status != _FAILED
-            report, err = None, "singular Hessian"
-            if fitted:
-                try:
-                    report, err = col.report(b, params), None
-                except NumericalError as exc:
-                    err = str(exc)
-            records.append(CandidateRecord(params, report, fitted, err))
+    for b, (gamma1, lam, status) in enumerate(zip(row_gammas, row_lams, state.status)):
+        params = TuningParams(gamma1=float(gamma1), gamma2=0.0, lam=float(lam))
+        fitted = status != _FAILED
+        report, err = None, "singular Hessian"
+        if fitted:
+            try:
+                report, err = col.report(b, params), None
+            except NumericalError as exc:
+                err = str(exc)
+        records.append(CandidateRecord(params, report, fitted, err))
 
     scored = [
         (r.report.gic, r.params.lam, r.params.gamma1, k)
@@ -136,11 +139,9 @@ def grid_search(
         exc.candidates = records  # type: ignore[attr-defined]
         raise exc
     best = min(scored)[-1]
-    column, row = divmod(best, lams.size)
-    model = fitted_model(data, states[column], row, records[best].params)
     return SelectionResult(
         method=meth,
-        best_model=model,
+        best_model=fitted_model(data, state, best, records[best].params),
         best_report=records[best].report,
         candidates=records,
     )

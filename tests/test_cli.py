@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.special import expit
 
 import sslogit
 import sslogit.cli as cli_mod
+import sslogit.select as select_mod
 from sslogit.cli import main
 from sslogit.data import make_rng
 from sslogit.errors import DataError, NumericalError, ParameterError, SslogitError
@@ -500,6 +502,67 @@ class TestExitCodes:
         assert main(argv + ["--labeled", str(path)]) == 2
         assert "labeled rows must include both classes" in capsys.readouterr().err
         assert not output.exists()
+
+    @pytest.mark.parametrize("exponent", ["400", "-400"])
+    def test_out_of_range_lambda_exponent_fits_nothing(
+        self, workdir, monkeypatch, capsys, exponent
+    ):
+        # 10**400 overflows to inf and 10**-400 underflows to 0: the grid is
+        # rejected before any ratio or logistic fit, with no numpy warning.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(select_mod, "fit_step1_batch", no_fit)
+        monkeypatch.setattr(cli_mod, "weights_from_ulsif", no_fit)
+        output = workdir / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "select", "--labeled", str(workdir / "labeled.csv"),
+                "--unlabeled", str(workdir / "unlabeled.csv"),
+                f"--grid-log10-lambda={exponent}", "--output", str(output),
+            ])
+        assert code == 1
+        assert "log10_lambda_values" in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--ratio-floor", "5", "--ratio-cap", "2"], "ratio_cap"),
+            (["--ratio-floor", "0"], "ratio_floor"),
+            (["--ratio-floor", "-1"], "ratio_floor"),
+            (["--ratio-floor", "nan"], "ratio_floor"),
+            (["--ratio-cap", "0"], "ratio_cap"),
+            (["--ratio-cap", "nan"], "ratio_cap"),
+        ],
+        ids=["floor-above-cap", "floor-0", "floor-neg", "floor-nan", "cap-0", "cap-nan"],
+    )
+    @pytest.mark.parametrize("method", ["sslrcs", "slr"])
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_bad_ratio_range_is_rejected(self, workdir, capsys, command, method, flags, name):
+        # Checked for every method, before any file is read: numpy's clip
+        # with floor > cap would set every weight to the cap.
+        output = workdir / "out.json"
+        if command == "select":
+            argv = ["select", "--methods", method, "--output", str(output), *TINY_GRID]
+        else:
+            argv = ["fit", "--method", method, "--gamma1", "1", "--model-out", str(output)]
+        code = main(argv + [
+            "--labeled", str(workdir / "labeled.csv"),
+            "--unlabeled", str(workdir / "unlabeled.csv"), *flags,
+        ])
+        assert code == 1
+        assert f"error: {name}" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_ratio_range_is_checked_before_reading(self, tmp_path, capsys):
+        code = main([
+            "fit", "--method", "slr", "--labeled", str(tmp_path / "missing.csv"),
+            "--ratio-floor", "0", "--model-out", str(tmp_path / "model.json"),
+        ])
+        assert code == 1
+        assert "ratio_floor" in capsys.readouterr().err
 
     def test_replicate_bench_needs_dataset(self, capsys):
         code = main(["replicate", "bench", "--trials", "1"])

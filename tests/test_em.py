@@ -399,6 +399,36 @@ class TestBatchedFits:
                 np.testing.assert_array_equal(column.w[i], solo.w[0])
                 assert column.diagnostics(i) == solo.diagnostics(0)
 
+    @pytest.mark.parametrize("max_iters", [None, 3])
+    def test_whole_grid_rows_equal_their_columns(self, monkeypatch, max_iters):
+        # The grid search fits every (gamma1, lambda) cell as one batch
+        # whose rows differ in ridge value and weights; each row must equal
+        # its row of a one-gamma1 column bit for bit. A cap of 3 Newton
+        # steps makes "max-iterations" rows occur.
+        if max_iters is not None:
+            monkeypatch.setattr(objective_mod, "MAX_ITERS", max_iters)
+        grid = default_grid()
+        lams = np.power(10.0, np.asarray(grid.log10_lambda_values))
+        gammas = np.asarray(grid.gamma1_values)
+        statuses = set()
+        for seed in range(100):
+            rng = make_rng(9500 + seed)
+            n1, n0, p = rng.integers(10, 60), rng.integers(5, 100), rng.integers(1, 6)
+            data, weights, _ = make_instance(int(n1), int(n0), int(p), seed=int(seed))
+            whole = fit_step1_batch(
+                data, weights, np.repeat(gammas, lams.size), np.tile(lams, gammas.size)
+            )
+            assert whole.w.shape[0] == gammas.size * lams.size
+            for j, gamma1 in enumerate(gammas):
+                column = fit_step1_batch(data, weights, float(gamma1), lams)
+                for i in range(lams.size):
+                    row = j * lams.size + i
+                    np.testing.assert_array_equal(whole.w[row], column.w[i])
+                    assert whole.diagnostics(row) == column.diagnostics(i)
+            statuses.update(whole.status)
+        if max_iters is not None:
+            assert "max-iterations" in statuses
+
 
 class TestPredict:
     def test_zero_coefficients_tie_goes_to_class_zero(self):

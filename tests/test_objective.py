@@ -78,6 +78,19 @@ class TestPowerWeights:
         with pytest.raises(ParameterError):
             power_weights(np.array([1.0, 0.0]), 0.5)
 
+    def test_vector_exponent_rows_equal_scalar_calls(self):
+        v = make_rng(3).uniform(1e-3, 1e3, 25)
+        gammas = np.round(np.linspace(0.0, 1.0, 11), 10)
+        out = power_weights(v, gammas)
+        assert out.shape == (gammas.size, v.size)
+        for g, row in zip(gammas, out):
+            np.testing.assert_array_equal(row, power_weights(v, float(g)))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_vector_exponent_rejects_any_out_of_range_entry(self, bad):
+        with pytest.raises(ParameterError, match="gamma"):
+            power_weights(np.ones(3), np.array([0.0, 0.5, bad, 1.0]))
+
 
 class TestPosterior:
     def test_zero_coefficients_give_half(self):

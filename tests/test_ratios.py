@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import pdist
 
 import sslogit.ratios as ratios_mod
 from sslogit.data import SplitDataset, make_rng
@@ -166,6 +167,13 @@ class TestMedianPairwiseDistance:
         with pytest.raises(DataError, match="two points"):
             median_pairwise_distance(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("n", [49, 50], ids=["1176-pairs", "1225-pairs"])
+    def test_equals_the_median_of_a_fresh_pdist(self, n):
+        # The median is taken in place on the call's own pdist array; it
+        # must equal the plain median for even and odd pair counts.
+        x = make_rng(n).normal(size=(n, 4))
+        assert median_pairwise_distance(x) == float(np.median(pdist(x)))
+
 
 def loocv_by_refit(k_nu, k_de, rho):
     """Leave-one-out score by brute force: for each of the first
@@ -254,6 +262,28 @@ class TestUlsifFit:
         )
         out = ulsif_predict(model, rng.normal(scale=10.0, size=(200, 1)))
         assert np.all(out >= 0.2) and np.all(out <= 3.0)
+
+
+class TestUlsifConfig:
+    @pytest.mark.parametrize(
+        "floor, cap, name",
+        [
+            (0.0, 1e3, "ratio_floor"),
+            (-1.0, 1e3, "ratio_floor"),
+            (np.nan, 1e3, "ratio_floor"),
+            (np.inf, np.inf, "ratio_floor"),
+            (5.0, 2.0, "ratio_cap"),
+            (1e-3, 0.0, "ratio_cap"),
+            (1e-3, np.nan, "ratio_cap"),
+        ],
+    )
+    def test_rejects_an_empty_or_nonpositive_range(self, floor, cap, name):
+        with pytest.raises(ParameterError, match=name):
+            UlsifConfig(ratio_floor=floor, ratio_cap=cap)
+
+    def test_accepts_a_one_point_range_and_an_infinite_cap(self):
+        UlsifConfig(ratio_floor=2.0, ratio_cap=2.0)
+        UlsifConfig(ratio_floor=1e-3, ratio_cap=np.inf)
 
 
 class TestWeightsFromUlsif:

@@ -58,6 +58,12 @@ class TestGrid:
         with pytest.raises(ParameterError, match="finite"):
             Grid((0.0,), (0.0,), (0.0, np.inf))
 
+    @pytest.mark.parametrize("exponent", [309.0, 400.0, -324.0, -400.0])
+    def test_rejects_exponent_whose_lambda_overflows_or_underflows(self, exponent):
+        # 10**v must be a positive finite double: 10**309 is inf, 10**-324 is 0.
+        with pytest.raises(ParameterError, match="log10_lambda_values"):
+            Grid((0.0,), (0.0,), (0.0, exponent))
+
 
 class TestGridSearch:
     def test_rejects_unknown_method(self):
@@ -150,8 +156,8 @@ class TestGridSearch:
 
 
 class TestColumnScoring:
-    """Each column is scored by one kernel call; the records must equal
-    what the single-model wrappers give on the same refitted models."""
+    """The grid is scored by one kernel call; the records must equal what
+    the single-model wrappers give on the same refitted models."""
 
     @pytest.mark.parametrize("method", ["sslrcs", "lsslr", "slr"])
     def test_records_equal_solo_scores(self, method):
@@ -211,14 +217,36 @@ class TestStep1Search:
         assert len(res.candidates) == len(TINY.gamma1_values) * n_lams
         assert all(c.params.gamma2 == 0.0 for c in res.candidates)
         lams = np.power(10.0, np.asarray(TINY.log10_lambda_values))
-        assert len(scored) == len(TINY.gamma1_values)
-        for g1, w in zip(TINY.gamma1_values, scored):
+        assert len(scored) == 1
+        for j, g1 in enumerate(TINY.gamma1_values):
             step1 = fit_step1_batch(data, weights, g1, lams)
-            np.testing.assert_array_equal(w, step1.w)
+            np.testing.assert_array_equal(scored[0][j * n_lams : (j + 1) * n_lams], step1.w)
         best = res.best_model.params
         row = list(lams).index(best.lam)
         step1 = fit_step1_batch(data, weights, best.gamma1, lams)
         np.testing.assert_array_equal(res.best_model.w, step1.w[row])
+
+    @pytest.mark.parametrize("method", ["sslrcs", "lsslr", "slr"])
+    def test_one_fit_and_one_score_call_per_search(self, monkeypatch, method):
+        data, weights = make_instance(15, 10, 2, seed=15)
+        calls = {"fit": [], "score": []}
+
+        def fit_spy(*args):
+            calls["fit"].append(args)
+            return fit_step1_batch(*args)
+
+        def score_spy(*args):
+            calls["score"].append(args)
+            return gic_mod.gic_column(*args)
+
+        monkeypatch.setattr(select_mod, "fit_step1_batch", fit_spy)
+        monkeypatch.setattr(select_mod, "gic_column", score_spy)
+        res = grid_search(data, weights, default_grid(), method=method)
+        assert len(calls["fit"]) == 1
+        assert len(calls["score"]) == 1
+        n_rows = len(res.candidates)
+        assert n_rows == (154 if method == "sslrcs" else 14)
+        assert calls["score"][0][0].shape[0] == n_rows
 
     def test_only_the_winner_is_built_into_a_model(self, monkeypatch):
         # Candidates are scored as arrays; imputing t_hat for a FittedModel
