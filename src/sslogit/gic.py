@@ -7,7 +7,7 @@ over the labeled count. Only labeled points and the r-direction weights
 enter; the unlabeled block influences the criterion through the ratio
 weights alone.
 
-One kernel, gic_column, scores B coefficient rows at once: they share the
+One kernel, gic_column, scores B coefficient rows in one call: they share the
 labeled block, and each has its own ridge value and may have its own
 weights. It reads the posterior, score, R and NLL from the Newton kernel in
 objective and adds only Q and the trace; the single-model functions below
@@ -25,7 +25,7 @@ from .data import SplitDataset
 from .data import build_design  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .em import FittedModel
 from .errors import NumericalError
-from .objective import TuningParams, power_weights
+from .objective import TuningParams, power_weights, row_blocks
 from .objective import _batch_hessian, _batch_loglik, _batch_posterior, _batch_score
 from .ratios import RatioWeights
 
@@ -96,12 +96,22 @@ def gic_column(
     All rows share the labeled block of data; eta holds the per-point
     weights, shared (n1,) or one row each (B, n1), and lams each row's
     ridge value. The posterior, the score, R (minus
-    the Hessian over n1) and the NLL are the Newton kernel's own pieces, so
-    each row equals its single-model score bit for bit.
+    the Hessian over n1) and the NLL are the Newton kernel's own pieces,
+    taken in the kernel's row blocks, so each row equals its single-model
+    score bit for bit.
     """
     x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
-    n1 = data.n_labeled
     lams = np.asarray(lams, dtype=np.float64)
+    eta = np.broadcast_to(eta, (w.shape[0], x_lab.shape[0]))
+    blocks = [
+        _gic_block(w[b], x_lab, y, eta[b], lams[b], data.n_labeled)
+        for b in row_blocks(w.shape[0], x_lab)
+    ]
+    return GicColumn(*(np.concatenate(pieces) for pieces in zip(*blocks)))
+
+
+def _gic_block(w, x_lab, y, eta, lams, n1):
+    """(Q, R, weighted NLL, trace term) for one row block of gic_column."""
     pi = _batch_posterior(w, x_lab)
     score = _batch_score(pi, x_lab, eta, y)
     u = eta * (y - pi)  # per-point score weight on the design row
@@ -110,7 +120,7 @@ def gic_column(
     q /= n1
     r = -_batch_hessian(pi, x_lab, eta, lams, n1) / n1
     nll = -2.0 * _batch_loglik(w, x_lab, eta, y)
-    return GicColumn(q=q, r=r, weighted_nll=nll, trace_term=_trace_terms(q, r))
+    return q, r, nll, _trace_terms(q, r)
 
 
 def gic_matrices(

@@ -10,7 +10,8 @@ The objective, its gradient and Hessian, and the damped Newton loop are
 written once, for a batch of B coefficient vectors that share the design
 rows and differ in ridge value, row weights and targets. No row's value
 depends on its batch (see _rowwise): a fit run alone equals its row of a
-whole grid bit for bit, and gic reads its criterion pieces from here.
+whole grid bit for bit, and gic reads its criterion pieces from here. A
+batch runs in row blocks of bounded size (see row_blocks).
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel: B coefficient rows share one design
+# Batched kernel: B coefficient rows share one design, in row blocks
 # ---------------------------------------------------------------------------
 
 _FAILED = "failed"
@@ -119,6 +120,20 @@ class _NewtonBatchState:
             grad_norm=float(self.grad_norm[i]),
             status=self.status[i],
         )
+
+
+# Rows per kernel block: BLOCK_DOUBLES // (n * d), at least MIN_BLOCK_ROWS.
+# As one block, a 154-row grid at n = 250 holds about 2 MB of temporaries
+# per Newton step, past a core's L2 cache, and the allocator faults those
+# pages in again at each step. Rows are independent, so no bit depends on it.
+BLOCK_DOUBLES = 24_000
+MIN_BLOCK_ROWS = 16
+
+
+def row_blocks(n_rows: int, x: np.ndarray) -> list[slice]:
+    """Slices covering range(n_rows) in blocks sized for the design x (n, d)."""
+    step = max(MIN_BLOCK_ROWS, BLOCK_DOUBLES // x.size)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _rowwise(a, m):
@@ -188,16 +203,31 @@ def _batch_solve(h, g):
 
 def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
-    B candidates at once.
+    B candidates, one row block (see row_blocks) at a time.
 
     Rows differ in ridge value lams (B,) and in weights v and targets yt,
     each (B, n) or shared (n,). Full steps are halved until the objective
     strictly increases. Candidates retire independently: small gradient,
     sub-tolerance improvement, exhausted line search, or a solver failure.
     """
-    n_batch, dim = w0.shape
+    n_batch = w0.shape[0]
     v = np.broadcast_to(v, (n_batch, x.shape[0]))
     yt = np.broadcast_to(yt, (n_batch, x.shape[0]))
+    blocks = [
+        _newton_block(x, v[b], yt[b], lams[b], n1, w0[b]) for b in row_blocks(n_batch, x)
+    ]
+    return _NewtonBatchState(
+        w=np.concatenate([s.w for s in blocks]),
+        objective=np.concatenate([s.objective for s in blocks]),
+        iterations=np.concatenate([s.iterations for s in blocks]),
+        grad_norm=np.concatenate([s.grad_norm for s in blocks]),
+        status=[status for s in blocks for status in s.status],
+    )
+
+
+def _newton_block(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
+    """_newton_batch on one block of rows."""
+    n_batch = w0.shape[0]
     w = w0.copy()
     obj = _batch_objective(w, x, v, yt, lams, n1)
     iters = np.zeros(n_batch, dtype=np.int64)

@@ -259,6 +259,19 @@ class TestNewton:
         assert diag.iterations <= 1
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("n, d", [(25, 3), (250, 3), (2000, 4), (10000, 11)])
+    @pytest.mark.parametrize("n_rows", [1, 14, 154])
+    def test_blocks_cover_the_rows_in_order(self, n, d, n_rows):
+        x = np.ones((n, d))
+        step = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // x.size)
+        blocks = objective_mod.row_blocks(n_rows, x)
+        covered = np.concatenate([np.arange(n_rows)[b] for b in blocks])
+        np.testing.assert_array_equal(covered, np.arange(n_rows))
+        assert all(0 < len(range(n_rows)[b]) <= step for b in blocks)
+        assert len(blocks) == -(-n_rows // step)
+
+
 class TestBatchIndependence:
     """Every row of the batched kernel equals the same row run as a batch of
     one, bit for bit, so a fit or a score never depends on its batch."""

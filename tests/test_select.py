@@ -266,6 +266,47 @@ class TestStep1Search:
         np.testing.assert_array_equal(res.best_model.t_hat, e_step(res.best_model.w, data))
 
 
+class TestRowBlocks:
+    """The kernels run a search's rows in blocks of bounded size; the
+    records must not depend on where the block edges fall."""
+
+    @pytest.mark.parametrize("max_iters", [None, 3])
+    @pytest.mark.parametrize("method", ["sslrcs", "lsslr"])
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, method, max_iters):
+        if max_iters is not None:
+            monkeypatch.setattr(objective_mod, "MAX_ITERS", max_iters)
+        monkeypatch.setattr(objective_mod, "MIN_BLOCK_ROWS", 1)
+        for seed in range(10):
+            rng = make_rng(7700 + seed)
+            n1, n0, p = (int(k) for k in rng.integers([10, 5, 1], [80, 40, 5]))
+            data, weights = make_instance(n1, n0, p, seed=7700 + seed)
+            runs = []
+            for block_doubles in (1, 7 * (p + 1) * n1, 10**9):  # 1 row, 7 rows, all rows
+                monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", block_doubles)
+                runs.append(grid_search(data, weights, default_grid(), method=method))
+            for other in runs[1:]:
+                assert other.candidates == runs[0].candidates
+                np.testing.assert_array_equal(other.best_model.w, runs[0].best_model.w)
+
+    def test_hessian_rows_stay_within_one_block(self, monkeypatch):
+        # At n1 = 250 and two features a 154-row grid runs in blocks of
+        # BLOCK_DOUBLES // (250 * 3) rows, and no Hessian temporary spans more.
+        data, weights = make_instance(250, 20, 2, seed=16)
+        rows = []
+        hessian = objective_mod._batch_hessian
+
+        def spy(pi, *args):
+            rows.append(pi.shape[0])
+            return hessian(pi, *args)
+
+        monkeypatch.setattr(objective_mod, "_batch_hessian", spy)
+        monkeypatch.setattr(gic_mod, "_batch_hessian", spy)
+        res = grid_search(data, weights, default_grid(), method="sslrcs")
+        block = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // (250 * 3))
+        assert block < len(res.candidates) == 154
+        assert max(rows) == block
+
+
 class TestAllCandidatesFailed:
     def test_raises_with_candidate_records(self, monkeypatch):
         data, weights = make_instance(10, 5, 2, seed=10)
