@@ -285,9 +285,11 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    params = TuningParams(
-        gamma1=args.gamma1, gamma2=args.gamma2, lam=10.0**args.log10_lambda
-    )
+    try:
+        lam = 10.0**args.log10_lambda
+    except OverflowError:
+        lam = np.inf  # rejected by TuningParams, as an underflow to 0 is
+    params = TuningParams(gamma1=args.gamma1, gamma2=args.gamma2, lam=lam)
     data, std, weights = _load_user_data(args, (args.method,))
     model = fit_semisupervised(data, weights, params)
     payload = {
@@ -378,9 +380,8 @@ def cmd_predict(args) -> int:
     # predict reads the coefficients alone; the saved fit details are not loaded.
     model = FittedModel(w, None, None, None, None, None, None)
     probs, labels = predict(model, x)
-    lines = ["probability,label"]
-    lines += [f"{repr(float(p))},{int(l)}" for p, l in zip(probs, labels)]
-    text = "\n".join(lines) + "\n"
+    rows = map("{!r},{}\n".format, probs.tolist(), labels.tolist())
+    text = "probability,label\n" + "".join(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

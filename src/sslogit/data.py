@@ -5,6 +5,7 @@ and the CSV reader.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -165,6 +166,8 @@ def read_csv(path, has_label: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     With has_label the final column must be named 'label' and hold values
     in {0, 1}; they are returned as the second element, which is None
     otherwise. Blank lines are skipped; every format problem is a DataError.
+    A features-only body is first parsed in one C call; whenever that
+    parse fails or its shape is off, the checked row loop reads it again.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -178,6 +181,18 @@ def read_csv(path, has_label: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
             raise DataError(f"{path}: empty file") from None
         if has_label and (len(header) < 2 or header[-1].strip().lower() != "label"):
             raise DataError(f"{path}: final column must be named 'label'")
+        if not has_label:
+            try:
+                with warnings.catch_warnings():  # an empty body warns
+                    warnings.simplefilter("ignore", UserWarning)
+                    x = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+            except ValueError:
+                pass
+            else:
+                if x.shape[0] > 0 and x.shape[1] == len(header):
+                    return x, None
+            fh.seek(0)
+            next(reader)
         n_feat = len(header) - has_label
         feats, labels = [], []
         for lineno, row in enumerate(reader, start=2):

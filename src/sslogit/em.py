@@ -129,12 +129,19 @@ def fit_step1_batch(
     weights: RatioWeights,
     gamma1: float | np.ndarray,
     lams: np.ndarray,
+    eta: Optional[np.ndarray] = None,
 ) -> _NewtonBatchState:
-    """Step-1 fits, one row per entry of lams, gamma1 shared or per row."""
-    x_lab, vr, y = weighted_rows(data, weights, gamma1, 0.0)
+    """Step-1 fits, one row per entry of lams, gamma1 shared or per row.
+
+    eta is the row weights r^gamma1 of weighted_rows(data, weights,
+    gamma1, 0.0), when the caller has built them already.
+    """
+    x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
+    if eta is None:
+        eta = weighted_rows(data, weights, gamma1, 0.0)[1]
     lams = np.asarray(lams, dtype=np.float64)
     w0 = np.zeros((lams.size, x_lab.shape[1]))
-    return _newton_batch(x_lab, vr, y, lams, data.n_labeled, w0)
+    return _newton_batch(x_lab, eta, y, lams, data.n_labeled, w0)
 
 
 def fitted_model(

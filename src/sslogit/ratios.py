@@ -165,19 +165,29 @@ def median_pairwise_distance(x: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] < 2:
         raise DataError("median distance needs at least two points")
-    med = float(np.median(pdist(x), overwrite_input=True))
+    # np.median's arithmetic with one partition: the upper middle d[k],
+    # and for an even count its mean with the largest entry left of k.
+    d = pdist(x)
+    k = d.size // 2
+    d.partition(k)
+    med = float(d[k] if d.size % 2 else np.mean([d[:k].max(), d[k]]))
     # All-duplicate samples give zero; fall back to a unit scale.
     return med if med > 0 else 1.0
 
 
-def _kernel(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel matrix exp(-||x - c||^2 / (2 sigma^2)), shape (n, b)."""
+def _sq_dist(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances ||x - c||^2, shape (n, b), floored at zero."""
     sq = (
         np.sum(x**2, axis=1)[:, None]
         + np.sum(centers**2, axis=1)[None, :]
         - 2.0 * x @ centers.T
     )
     np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _kernel(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel matrix exp(-sq / (2 sigma^2)) of the squared distances sq."""
     return np.exp(-sq / (2.0 * sigma**2))
 
 
@@ -255,10 +265,11 @@ def ulsif_fit(
     b = min(DEFAULT_MAX_CENTERS, x_nu.shape[0])
     centers = x_nu[rng.choice(x_nu.shape[0], size=b, replace=False)]
 
+    sq_nu, sq_de = _sq_dist(x_nu, centers), _sq_dist(x_de, centers)
     best = (np.inf, 0, 0)  # (score, sigma index, rho index)
     for i, sigma in enumerate(sigmas):
-        k_nu = _kernel(x_nu, centers, sigma)
-        k_de = _kernel(x_de, centers, sigma)
+        k_nu = _kernel(sq_nu, sigma)
+        k_de = _kernel(sq_de, sigma)
         for j, rho in enumerate(rhos):
             score = _loocv_score(k_nu, k_de, rho)
             if score < best[0]:
@@ -271,8 +282,8 @@ def ulsif_fit(
         score = np.inf
     sigma, rho = sigmas[i], rhos[j]
 
-    k_nu = _kernel(x_nu, centers, sigma)
-    k_de = _kernel(x_de, centers, sigma)
+    k_nu = _kernel(sq_nu, sigma)
+    k_de = _kernel(sq_de, sigma)
     h_hat = k_de.T @ k_de / x_de.shape[0]
     h_vec = k_nu.mean(axis=0)
     alpha = np.linalg.solve(h_hat + rho * np.eye(b), h_vec)
@@ -291,7 +302,7 @@ def ulsif_fit(
 def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the fitted ratio at new points, clipped like exact ratios."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    raw = _kernel(x, model.centers, model.sigma) @ model.alpha
+    raw = _kernel(_sq_dist(x, model.centers), model.sigma) @ model.alpha
     return np.clip(raw, model.ratio_floor, model.ratio_cap)
 
 

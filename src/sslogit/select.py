@@ -6,9 +6,10 @@ lambda alone and, since the EM step cannot move a fit (see em), coincide.
 The gamma2 grid is accepted and ignored: every candidate is recorded with
 gamma2 = 0. The search works on arrays: every (gamma1, lambda) cell is one
 row of a single em.fit_step1_batch call, scored by a single gic.gic_column
-call with its weights r^gamma1. The baselines are the gamma1 = 0 rows,
-whose weights r^0 are exactly ones. A failed fit's score is dropped as
-"singular Hessian", and only the winner is built into a FittedModel.
+call with the same weights r^gamma1, built once. The baselines are the
+gamma1 = 0 rows, whose weights r^0 are exactly ones. A failed fit's score
+is dropped as "singular Hessian", and only the winner is built into a
+FittedModel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .em import fit_lambda_batch  # noqa: F401  (wrapped by name in perfbench/tr
 from .errors import NumericalError, ParameterError
 from .gic import GicReport, gic_column
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .objective import _FAILED, TuningParams, power_weights
+from .objective import _FAILED, TuningParams, weighted_rows
 from .ratios import RatioWeights
 
 METHODS = ("sslrcs", "lsslr", "slr")
@@ -109,8 +110,8 @@ def grid_search(
     gammas = np.asarray(g.gamma1_values if meth == "sslrcs" else (0.0,))
     row_gammas = np.repeat(gammas, lams.size)
     row_lams = np.tile(lams, gammas.size)
-    state = fit_step1_batch(data, weights, row_gammas, row_lams)
-    eta = power_weights(weights.r_labeled, row_gammas)
+    eta = weighted_rows(data, weights, row_gammas, 0.0)[1]
+    state = fit_step1_batch(data, weights, row_gammas, row_lams, eta)
     col = gic_column(state.w, data, eta, row_lams)
 
     records: list[CandidateRecord] = []

@@ -17,6 +17,7 @@ import sslogit.cli as cli_mod
 import sslogit.select as select_mod
 from sslogit.cli import main
 from sslogit.data import make_rng
+from sslogit.em import FittedModel, predict
 from sslogit.errors import DataError, NumericalError, ParameterError, SslogitError
 from sslogit.experiments import BENCHMARK_SPECS
 
@@ -125,6 +126,34 @@ class TestFitPredictRoundTrip:
         assert float(p0) == pytest.approx(expit(0.6), rel=1e-12)
         assert float(p1) == pytest.approx(expit(-0.5), rel=1e-12)
         assert (l0, l1) == ("1", "0")
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    def test_predict_writes_repr_lines(self, tmp_path, capsys, to_file):
+        # Saturated, tiny and tied (p = 0.5, label 0) probabilities included.
+        w = np.array([0.0, 40.0, -3.0])
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "format": "sslogit-model", "version": 1,
+            "n_features": 2, "coefficients": w.tolist(),
+        }))
+        x = write_features(tmp_path / "x.csv", 30, 2, seed=4)
+        with open(tmp_path / "x.csv", "a") as fh:
+            fh.write("0.0,0.0\n")
+        x = np.vstack([x, np.zeros((1, 2))])
+        probs, labels = predict(FittedModel(w, None, None, None, None, None, None), x)
+        expected = "probability,label\n" + "".join(
+            f"{repr(float(p))},{int(l)}\n" for p, l in zip(probs, labels)
+        )
+        out_path = tmp_path / "preds.csv"
+        argv = ["predict", "--model", str(model_path), "--data", str(tmp_path / "x.csv")]
+        code = main(argv + (["--output", str(out_path)] if to_file else []))
+        assert code == 0
+        out = capsys.readouterr().out
+        if to_file:
+            assert out == f"wrote {out_path} (31 rows)\n"
+            out = out_path.read_bytes().decode()
+        assert out == expected
+        assert {"1.0,1", "0.5,0"} <= set(out.splitlines())
 
     def test_standardization_is_stored_and_applied(self, tmp_path):
         # Features on a huge scale: the saved model must carry the pool
@@ -524,6 +553,23 @@ class TestExitCodes:
             ])
         assert code == 1
         assert "log10_lambda_values" in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "exponent, lam", [("400", "inf"), ("-400", "0.0"), ("nan", "nan")]
+    )
+    def test_out_of_range_fit_lambda_is_a_usage_error(
+        self, workdir, capsys, exponent, lam
+    ):
+        # 10.0**400 raises OverflowError in Python; it is rejected as an
+        # infinite lambda, like the underflow to 0, before any file is read.
+        output = workdir / "m.json"
+        code = main([
+            "fit", "--labeled", str(workdir / "labeled.csv"), "--method", "slr",
+            f"--log10-lambda={exponent}", "--model-out", str(output),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: lam must be positive and finite, got {lam}\n"
         assert not output.exists()
 
     @pytest.mark.parametrize(

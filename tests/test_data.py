@@ -1,4 +1,7 @@
-"""Dataset container, design matrix, seeding, and split protocol."""
+"""Dataset container, design matrix, seeding, split protocol, and CSV reader."""
+
+import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from sslogit.data import (
     build_design,
     derive_seed,
     make_rng,
+    read_csv,
     split_labeled_unlabeled,
 )
 from sslogit.errors import DataError
@@ -178,3 +182,112 @@ class TestSplitLabeledUnlabeled:
         expected = min(n, max(1, int(np.floor(fraction * n + 0.5))))
         assert data.n_labeled == expected
         assert data.n_labeled + data.n_unlabeled == n
+
+
+def read_features_by_loop(path):
+    """read_csv(path, has_label=False) by the checked csv row loop alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        feats = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
+                )
+            try:
+                feats.append([float(v) for v in row])
+            except ValueError:
+                raise DataError(f"{path}: row {lineno} has a non-numeric feature") from None
+    if not feats:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(feats, dtype=np.float64)
+
+
+def outcome(reader, path):
+    """The array's dtype, shape and bytes, or the DataError message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = reader(path)
+        except DataError as exc:
+            return "error", str(exc)
+    return "ok", x.dtype, x.shape, x.tobytes(), x.flags.c_contiguous
+
+
+def read_features(path):
+    x, y = read_csv(path, has_label=False)
+    assert y is None
+    return x
+
+
+class TestReadCsvFeatures:
+    """A features-only body goes through one C parse first; the result
+    must be the row loop's, array or error, for every body."""
+
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(width=64), min_size=3, max_size=3), min_size=1, max_size=25
+        ),
+        style=st.sampled_from(["%.17g", "repr"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        blank_after=st.integers(min_value=-1, max_value=25),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tables_equal_the_row_loop(self, tmp_path_factory, rows, style, newline, blank_after):
+        fmt = repr if style == "repr" else (lambda v: "%.17g" % v)
+        lines = ["x0,x1,x2"] + [",".join(fmt(v) for v in row) for row in rows]
+        if blank_after >= 0:
+            lines.insert(min(blank_after, len(lines) - 1) + 1, "")
+        path = tmp_path_factory.mktemp("csv") / "features.csv"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        assert outcome(read_features, path) == outcome(read_features_by_loop, path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '"1.0",2.0\n',
+            '"1.0,2.0",3.0\n',
+            "#1.0,2.0\n",
+            "1.0,2.0\n#3.0,4.0\n",
+            "1.0,2.0,3.0\n4.0,5.0,6.0\n",
+            "1.0,2.0\n \n3.0,4.0\n",
+            "1.0,2.0\n\t\n",
+            "1.0,2.0\n3.0\n",
+            "1.0,2.0,\n3.0,4.0,\n",
+            "1.0,,2.0\n",
+            "1_0,2.0\n",
+            "1.0,2.0\r\n3.0,4.0\r\n",
+            "1.0,2.0\r3.0,4.0\r",
+            " 1.0 , 2.0 \n",
+            "nan,-inf\nInfinity,-0\n",
+            "0x10,2.0\n",
+            "1.0,2.0\n\n\n",
+            "\n\n",
+            "",
+        ],
+        ids=[
+            "quoted", "quoted-comma", "hash-row", "hash-row-after-data", "wide-rows", "whitespace-line", "tab-line",
+            "ragged", "trailing-comma", "empty-field", "underscore", "crlf", "cr",
+            "padded", "nonfinite", "hex", "trailing-blank-lines", "blank-body", "empty-body",
+        ],
+    )
+    def test_bodies_give_the_row_loop_result(self, tmp_path, body):
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"x0,x1\n" + body.encode())
+        assert outcome(read_features, path) == outcome(read_features_by_loop, path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("1.0\n \n", "row 3 has a non-numeric feature"), ("", "no data rows")],
+        ids=["whitespace-line", "empty-body"],
+    )
+    def test_single_column_errors(self, tmp_path, body, message):
+        path = tmp_path / "features.csv"
+        path.write_text("x0\n" + body)
+        assert outcome(read_features, path) == ("error", f"{path}: {message}")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import pdist
 
@@ -12,6 +14,7 @@ from sslogit.ratios import (
     DiagGaussian,
     _kernel,
     _loocv_score,
+    _sq_dist,
     RatioWeights,
     UlsifConfig,
     exact_ratio,
@@ -167,11 +170,42 @@ class TestMedianPairwiseDistance:
         with pytest.raises(DataError, match="two points"):
             median_pairwise_distance(np.ones((1, 3)))
 
-    @pytest.mark.parametrize("n", [49, 50], ids=["1176-pairs", "1225-pairs"])
-    def test_equals_the_median_of_a_fresh_pdist(self, n):
+    @given(
+        n=st.integers(min_value=2, max_value=30),
+        p=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_numpy_median(self, n, p, data):
+        # Small integers give ties and repeated points; n(n-1)/2 takes both
+        # parities. Distances are nonnegative, so == is bitwise here.
+        value = st.one_of(
+            st.integers(min_value=-2, max_value=2).map(float),
+            st.floats(min_value=-1e6, max_value=1e6),
+        )
+        x = np.array(data.draw(st.lists(value, min_size=n * p, max_size=n * p)))
+        x = x.reshape(n, p)
+        med = float(np.median(pdist(x)))
+        assert median_pairwise_distance(x) == (med if med > 0 else 1.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            make_rng(49).normal(size=(49, 4)),
+            make_rng(50).normal(size=(50, 4)),
+            np.array([[0.0], [2.0]]),
+            np.array([[0.0], [1.0], [2.0], [3.0]]),
+            np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]),
+            np.vstack([make_rng(3).normal(size=(6, 2))] * 2),
+        ],
+        ids=[
+            "1176-pairs", "1225-pairs", "two-points", "even-ties",
+            "duplicate-points", "duplicate-halves",
+        ],
+    )
+    def test_equals_the_median_of_a_fresh_pdist(self, x):
         # The median is taken in place on the call's own pdist array; it
         # must equal the plain median for even and odd pair counts.
-        x = make_rng(n).normal(size=(n, 4))
         assert median_pairwise_distance(x) == float(np.median(pdist(x)))
 
 
@@ -201,8 +235,8 @@ class TestLoocvScore:
         x_de = rng.normal(0.0, 1.2, size=(n_de, 2))
         centers = x_nu[:5]
         for sigma in (0.5, 1.5):
-            k_nu = _kernel(x_nu, centers, sigma)
-            k_de = _kernel(x_de, centers, sigma)
+            k_nu = _kernel(_sq_dist(x_nu, centers), sigma)
+            k_de = _kernel(_sq_dist(x_de, centers), sigma)
             expected = loocv_by_refit(k_nu, k_de, rho)
             assert _loocv_score(k_nu, k_de, rho) == pytest.approx(expected, rel=1e-12)
 
