@@ -46,7 +46,15 @@ from .ratios import (
     weights_from_exact,
     weights_from_ulsif,
 )
-from .select import CandidateRecord, Grid, SelectionResult, default_grid, grid_search
+from .select import (
+    CandidateRecord,
+    Grid,
+    SelectionResult,
+    SharedSearch,
+    default_grid,
+    grid_search,
+    shared_search,
+)
 from .experiments import (
     BENCHMARK_FRACTIONS,
     BENCHMARK_SPECS,

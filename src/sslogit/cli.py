@@ -43,7 +43,7 @@ from .ratios import (
     unit_weights,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, default_grid, grid_search
+from .select import METHODS, Grid, default_grid, shared_search
 
 DATA_DIR_ENV = "SSLOGIT_DATA_DIR"
 MODEL_FORMAT = "sslogit-model"
@@ -218,8 +218,9 @@ def cmd_select(args) -> int:
         "converged", "test PE (%)",
     )}
     json_methods = {}
+    search = shared_search(data, weights, grid, methods)
     for m in methods:
-        sel = grid_search(data, weights, grid=grid, method=m)
+        sel = search.select(m)
         best, report = sel.best_model, sel.best_report
         pe = None
         if data.test_x is not None:

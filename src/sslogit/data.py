@@ -5,6 +5,7 @@ and the CSV reader.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -160,6 +161,22 @@ def split_labeled_unlabeled(
     )
 
 
+def _csv_rows(fh, path):
+    """(row number, fields) per CSV record of fh, from row 1; a record that
+    ends inside a quote, or a byte that is not UTF-8, is a DataError."""
+    reader = csv.reader(fh, strict=True)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        yield lineno, row
+
+
 def read_csv(path, has_label: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Parse a header row plus float feature columns.
 
@@ -174,11 +191,10 @@ def read_csv(path, has_label: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        rows = _csv_rows(fh, path)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if has_label and (len(header) < 2 or header[-1].strip().lower() != "label"):
             raise DataError(f"{path}: final column must be named 'label'")
         if not has_label:
@@ -192,10 +208,11 @@ def read_csv(path, has_label: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
                 if x.shape[0] > 0 and x.shape[1] == len(header):
                     return x, None
             fh.seek(0)
-            next(reader)
+            rows = _csv_rows(fh, path)
+            next(rows)
         n_feat = len(header) - has_label
         feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != len(header):

@@ -26,7 +26,8 @@ from .ratios import (
     weights_from_exact,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, grid_search
+from .select import METHODS, Grid, shared_search
+from .select import grid_search  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 SIM1_N_LABELED = (25, 50, 100, 150, 200, 250)
 SIM2_CASES = (1, 2, 3)
@@ -464,7 +465,8 @@ def run_trials(
     grid: Optional[Grid] = None,
 ) -> RunResult:
     """Trial i uses seed base_seed + i; per-trial failures are recorded and
-    excluded from the means."""
+    excluded from the means. One shared_search per trial serves every
+    method; a method whose rows all fail records its own error."""
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
     methods = tuple(str(m).lower() for m in methods)
@@ -472,27 +474,31 @@ def run_trials(
         if m not in METHODS:
             raise ParameterError(f"unknown method {m!r}")
     records: list[TrialRecord] = []
+
+    def failure(i, seed, m, exc):
+        return TrialRecord(i, seed, m, None, None, None, None, None, None, str(exc))
+
     for i in range(n_trials):
         seed = base_seed + i
         try:
             data, weights = experiment.make_trial(seed)
         except SslogitError as exc:
-            for m in methods:
-                records.append(
-                    TrialRecord(i, seed, m, None, None, None, None, None, None, str(exc))
-                )
+            records.extend(failure(i, seed, m, exc) for m in methods)
             continue
         if data.test_x is None:
             raise ParameterError("experiment trials must carry a test block")
+        try:
+            search = shared_search(data, weights, grid, methods)
+        except SslogitError as exc:
+            records.extend(failure(i, seed, m, exc) for m in methods)
+            continue
         for m in methods:
             try:
-                sel = grid_search(data, weights, grid=grid, method=m)
+                sel = search.select(m)
                 _, labels = predict(sel.best_model, data.test_x)
                 pe = prediction_error(labels, data.test_y)
             except SslogitError as exc:
-                records.append(
-                    TrialRecord(i, seed, m, None, None, None, None, None, None, str(exc))
-                )
+                records.append(failure(i, seed, m, exc))
                 continue
             p = sel.best_model.params
             records.append(

@@ -16,6 +16,7 @@ batch runs in row blocks of bounded size (see row_blocks).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,9 @@ class TuningParams:
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
             g = getattr(self, name)
-            if not np.isfinite(g) or not 0.0 <= g <= 1.0:
+            if not math.isfinite(g) or not 0.0 <= g <= 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1], got {g}")
-        if not np.isfinite(self.lam) or self.lam <= 0:
+        if not math.isfinite(self.lam) or self.lam <= 0:
             raise ParameterError(f"lam must be positive and finite, got {self.lam}")
 
 
@@ -201,14 +202,51 @@ def _batch_solve(h, g):
     return delta, failed
 
 
+def _line_search(x, v, yt, lams, n1, w, obj, delta):
+    """Damped Newton steps w - 2^-k delta for a block of rows.
+
+    Per row, k is the first of 0, 1, ..., MAX_HALVINGS at which the
+    objective is finite and strictly above obj. Returns the stepped rows,
+    their objectives and the mask of rows that found such a k; a row that
+    found none holds k = MAX_HALVINGS. The halvings are tried in chunks of
+    doubling length, 1 | 2-3 | 4-7 | ..., each chunk one objective call per
+    row block of (row, k) candidates: round-off-level rows use all of
+    them, and one call per halving costs more than the rows it carries.
+    Scaling by 2^-k is exact and objective rows do not depend on their
+    batch, so this is halving one k at a time, bit for bit.
+    """
+    w_try = w - delta
+    obj_try = _batch_objective(w_try, x, v, yt, lams, n1)
+    need = ~(np.isfinite(obj_try) & (obj_try > obj))
+    lo = 1
+    while lo <= MAX_HALVINGS and need.any():
+        ks = np.arange(lo, min(2 * lo, MAX_HALVINGS + 1))
+        lo *= 2
+        idx = np.flatnonzero(need)
+        rows = np.repeat(idx, ks.size)
+        cand = w[rows] - np.tile(np.ldexp(1.0, -ks), idx.size)[:, None] * delta[rows]
+        cand_obj = np.concatenate([
+            _batch_objective(cand[b], x, v[rows[b]], yt[rows[b]], lams[rows[b]], n1)
+            for b in row_blocks(rows.size, x)
+        ])
+        ok = (np.isfinite(cand_obj) & (cand_obj > obj[rows])).reshape(idx.size, ks.size)
+        found = ok.any(axis=1)
+        pick = np.arange(idx.size) * ks.size + np.where(found, ok.argmax(axis=1), ks.size - 1)
+        w_try[idx] = cand[pick]
+        obj_try[idx] = cand_obj[pick]
+        need[idx] = ~found
+    return w_try, obj_try, ~need
+
+
 def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
     B candidates, one row block (see row_blocks) at a time.
 
     Rows differ in ridge value lams (B,) and in weights v and targets yt,
     each (B, n) or shared (n,). Full steps are halved until the objective
-    strictly increases. Candidates retire independently: small gradient,
-    sub-tolerance improvement, exhausted line search, or a solver failure.
+    strictly increases (see _line_search). Candidates retire independently:
+    small gradient, sub-tolerance improvement, exhausted line search, or a
+    solver failure.
     """
     n_batch = w0.shape[0]
     v = np.broadcast_to(v, (n_batch, x.shape[0]))
@@ -248,24 +286,9 @@ def _newton_block(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
         failed[active[solve_failed]] = True
         active = active[~solve_failed]
         delta = delta[~solve_failed]
-        w_act = w[active]
-        v_act = v[active]
-        yt_act = yt[active]
-        lam_act = lams[active]
-        step = np.ones(active.size)
-        w_try = w_act - delta
-        obj_try = _batch_objective(w_try, x, v_act, yt_act, lam_act, n1)
-        need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
-        for _ in range(MAX_HALVINGS):
-            if not need.any():
-                break
-            step[need] *= 0.5
-            w_try[need] = w_act[need] - step[need, None] * delta[need]
-            obj_try[need] = _batch_objective(
-                w_try[need], x, v_act[need], yt_act[need], lam_act[need], n1
-            )
-            need = ~(np.isfinite(obj_try) & (obj_try > obj[active]))
-        accepted = ~need
+        w_try, obj_try, accepted = _line_search(
+            x, v[active], yt[active], lams[active], n1, w[active], obj[active], delta
+        )
         iters[active] += 1
         improvement = obj_try - obj[active]
         upd = active[accepted]

@@ -7,15 +7,16 @@ The gamma2 grid is accepted and ignored: every candidate is recorded with
 gamma2 = 0. The search works on arrays: every (gamma1, lambda) cell is one
 row of a single em.fit_step1_batch call, scored by a single gic.gic_column
 call with the same weights r^gamma1, built once. The baselines are the
-gamma1 = 0 rows, whose weights r^0 are exactly ones. A failed fit's score
-is dropped as "singular Hessian", and only the winner is built into a
-FittedModel.
+gamma1 = 0 rows, whose weights r^0 are exactly ones, so one batch serves
+all three methods (shared_search) and each picks its winner from its own
+rows. A failed fit's score is dropped as "singular Hessian", and only the
+winner is built into a FittedModel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .data import SplitDataset
 from .em import FittedModel, fit_step1_batch, fitted_model
 from .em import fit_lambda_batch  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .errors import NumericalError, ParameterError
-from .gic import GicReport, gic_column
+from .gic import GicColumn, GicReport, gic_column
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .objective import _FAILED, TuningParams, weighted_rows
+from .objective import _FAILED, TuningParams, _NewtonBatchState, weighted_rows
 from .ratios import RatioWeights
 
 METHODS = ("sslrcs", "lsslr", "slr")
@@ -89,60 +90,117 @@ class SelectionResult:
     candidates: list[CandidateRecord] = field(repr=False)
 
 
+def _method(method: str) -> str:
+    meth = str(method).lower()
+    if meth not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    return meth
+
+
+@dataclass(frozen=True)
+class SharedSearch:
+    """One fitted and scored batch of grid rows, serving several methods.
+
+    rows maps each requested method to its slice of the batch: sslrcs's
+    (gamma1, lambda) rows, and one gamma1 = 0 block of lambda rows that
+    the baselines share.
+    """
+
+    data: SplitDataset
+    row_gammas: np.ndarray
+    row_lams: np.ndarray
+    state: _NewtonBatchState
+    col: GicColumn
+    rows: dict[str, slice]
+
+    def select(self, method: str) -> SelectionResult:
+        """The criterion minimizer over this method's rows.
+
+        Baseline records carry gamma1 = 0. Ties go to the first minimum of
+        (gic, lambda, gamma1). NumericalError if every row failed.
+        """
+        meth = _method(method)
+        if meth not in self.rows:
+            raise ParameterError(f"method {meth!r} was not part of this search")
+        rows = self.rows[meth]
+        records: list[CandidateRecord] = []
+        for b in range(rows.start, rows.stop):
+            gamma1 = float(self.row_gammas[b]) if meth == "sslrcs" else 0.0
+            params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(self.row_lams[b]))
+            fitted = self.state.status[b] != _FAILED
+            report, err = None, "singular Hessian"
+            if fitted:
+                try:
+                    report, err = self.col.report(b, params), None
+                except NumericalError as exc:
+                    err = str(exc)
+            records.append(CandidateRecord(params, report, fitted, err))
+
+        scored = [
+            (r.report.gic, r.params.lam, r.params.gamma1, k)
+            for k, r in enumerate(records)
+            if r.report is not None
+        ]
+        if not scored:
+            n_failed = sum(1 for r in records if r.error is not None)
+            first = next((r.error for r in records if r.error is not None), "unknown")
+            exc = NumericalError(
+                f"all {n_failed} grid candidates failed; first error: {first}"
+            )
+            exc.candidates = records  # type: ignore[attr-defined]
+            raise exc
+        best = min(scored)[-1]
+        return SelectionResult(
+            method=meth,
+            best_model=fitted_model(
+                self.data, self.state, rows.start + best, records[best].params
+            ),
+            best_report=records[best].report,
+            candidates=records,
+        )
+
+
+def shared_search(
+    data: SplitDataset,
+    weights: RatioWeights,
+    grid: Optional[Grid] = None,
+    methods: Sequence[str] = METHODS,
+) -> SharedSearch:
+    """Fit and score, in one batch, every grid row the methods need.
+
+    sslrcs needs every (gamma1, lambda) cell; the baselines drop the gamma
+    grids, so their one gamma1 = 0 weights the rows by ones, and they
+    read the grid's own gamma1 = 0 rows when it has them. No method fits
+    to the unlabeled block; it enters only through the ratio weights.
+    """
+    meths = [_method(m) for m in methods]
+    if not meths:
+        raise ParameterError("methods must be nonempty")
+    g = grid or default_grid()
+    lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
+    gammas = list(g.gamma1_values) if "sslrcs" in meths else []
+    rows = {"sslrcs": slice(0, len(gammas) * lams.size)}
+    if "lsslr" in meths or "slr" in meths:
+        if 0.0 not in gammas:
+            gammas.append(0.0)
+        z = gammas.index(0.0) * lams.size
+        rows["lsslr"] = rows["slr"] = slice(z, z + lams.size)
+    row_gammas = np.repeat(np.asarray(gammas), lams.size)
+    row_lams = np.tile(lams, len(gammas))
+    eta = weighted_rows(data, weights, row_gammas, 0.0)[1]
+    state = fit_step1_batch(data, weights, row_gammas, row_lams, eta)
+    col = gic_column(state.w, data, eta, row_lams)
+    return SharedSearch(
+        data, row_gammas, row_lams, state, col, {m: rows[m] for m in meths}
+    )
+
+
 def grid_search(
     data: SplitDataset,
     weights: RatioWeights,
     grid: Optional[Grid] = None,
     method: str = "sslrcs",
 ) -> SelectionResult:
-    """Fit and score every candidate; return the criterion minimizer.
-
-    The baselines drop the gamma grids, so their one gamma1 = 0 weights
-    the rows by ones. No method fits to the unlabeled block; it enters
-    only through the ratio weights.
-    Ties go to the first minimum of (gic, lambda, gamma1).
-    """
-    meth = str(method).lower()
-    if meth not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    g = grid or default_grid()
-    lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
-    gammas = np.asarray(g.gamma1_values if meth == "sslrcs" else (0.0,))
-    row_gammas = np.repeat(gammas, lams.size)
-    row_lams = np.tile(lams, gammas.size)
-    eta = weighted_rows(data, weights, row_gammas, 0.0)[1]
-    state = fit_step1_batch(data, weights, row_gammas, row_lams, eta)
-    col = gic_column(state.w, data, eta, row_lams)
-
-    records: list[CandidateRecord] = []
-    for b, (gamma1, lam, status) in enumerate(zip(row_gammas, row_lams, state.status)):
-        params = TuningParams(gamma1=float(gamma1), gamma2=0.0, lam=float(lam))
-        fitted = status != _FAILED
-        report, err = None, "singular Hessian"
-        if fitted:
-            try:
-                report, err = col.report(b, params), None
-            except NumericalError as exc:
-                err = str(exc)
-        records.append(CandidateRecord(params, report, fitted, err))
-
-    scored = [
-        (r.report.gic, r.params.lam, r.params.gamma1, k)
-        for k, r in enumerate(records)
-        if r.report is not None
-    ]
-    if not scored:
-        n_failed = sum(1 for r in records if r.error is not None)
-        first = next((r.error for r in records if r.error is not None), "unknown")
-        exc = NumericalError(
-            f"all {n_failed} grid candidates failed; first error: {first}"
-        )
-        exc.candidates = records  # type: ignore[attr-defined]
-        raise exc
-    best = min(scored)[-1]
-    return SelectionResult(
-        method=meth,
-        best_model=fitted_model(data, state, best, records[best].params),
-        best_report=records[best].report,
-        candidates=records,
-    )
+    """Fit and score every candidate of one method; return the criterion
+    minimizer (see shared_search and SharedSearch.select)."""
+    return shared_search(data, weights, grid, (method,)).select(method)

@@ -375,7 +375,7 @@ class TestSelect:
         def boom(*args, **kwargs):
             raise error("all 4 grid candidates failed")
 
-        monkeypatch.setattr(cli_mod, "grid_search", boom)
+        monkeypatch.setattr(cli_mod, "shared_search", boom)
         assert main([
             "select", "--labeled", str(workdir / "labeled.csv"),
             "--methods", "slr", *TINY_GRID,
@@ -423,17 +423,20 @@ class TestExitCodes:
             ("--data", "x0,x1\n1.0,oops\n", "row 2 has a non-numeric feature"),
             ("--data", "x0,x1\n", "no data rows"),
             ("--data", "", "empty file"),
+            ("--data", b"x0,x1\n1.0,2.0\n\xff\xfe,3\n", "bad.csv: not UTF-8 text"),
+            ("--data", 'x0,x1\n1.0,2.0\n3.0,"4.0\n', "row 3: unexpected end of data"),
             ("--labeled", "x0,label\n1.0,1\n2.0\n", "row 3 has 1 fields, expected 2"),
             ("--labeled", "x0,label\noops,1\n", "row 2 has a non-numeric feature"),
             ("--labeled", "x0,y\n1.0,1\n", "final column must be named 'label'"),
             ("--labeled", "x0,label\n1.0,2\n", "row 2 label '2' not in {0,1}"),
             ("--labeled", "x0,label\n", "no data rows"),
             ("--labeled", "", "empty file"),
+            ("--labeled", 'x0,label\n1.0,1\n2.0,"0\n', "row 3: unexpected end of data"),
         ],
     )
     def test_malformed_csv_is_a_data_error(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         if flag == "--data":
             model = tmp_path / "m.json"
             model.write_text(json.dumps({

@@ -187,23 +187,27 @@ class TestSplitLabeledUnlabeled:
 def read_features_by_loop(path):
     """read_csv(path, has_label=False) by the checked csv row loop alone."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         feats = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                feats.append([float(v) for v in row])
-            except ValueError:
-                raise DataError(f"{path}: row {lineno} has a non-numeric feature") from None
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
+                    )
+                try:
+                    feats.append([float(v) for v in row])
+                except ValueError:
+                    raise DataError(f"{path}: row {lineno} has a non-numeric feature") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
     if not feats:
         raise DataError(f"{path}: no data rows")
     return np.asarray(feats, dtype=np.float64)
@@ -270,11 +274,15 @@ class TestReadCsvFeatures:
             "1.0,2.0\n\n\n",
             "\n\n",
             "",
+            '1.0,2.0\n3.0,"4.0\n',
+            '1.0,"2.0\n3.0",4.0\n',
+            '"1.0"x,2.0\n',
         ],
         ids=[
             "quoted", "quoted-comma", "hash-row", "hash-row-after-data", "wide-rows", "whitespace-line", "tab-line",
             "ragged", "trailing-comma", "empty-field", "underscore", "crlf", "cr",
             "padded", "nonfinite", "hex", "trailing-blank-lines", "blank-body", "empty-body",
+            "unterminated-quote", "quoted-newline", "text-after-quote",
         ],
     )
     def test_bodies_give_the_row_loop_result(self, tmp_path, body):

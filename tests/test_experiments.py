@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sslogit.experiments as experiments_mod
+import sslogit.objective as objective_mod
+import sslogit.select as select_mod
 from sslogit.data import SplitDataset, make_rng, read_csv
-from sslogit.errors import DataError, ParameterError
+from sslogit.em import fit_step1_batch, predict
+from sslogit.errors import DataError, NumericalError, ParameterError, SslogitError
 from sslogit.experiments import (
     BENCHMARK_FRACTIONS,
     BENCHMARK_SPECS,
     ShiftedSyntheticExperiment,
     Sim1Config,
     Sim2Config,
+    TrialRecord,
     gen_shifted_benchmark,
     gen_sim1,
     gen_sim2,
@@ -29,7 +34,7 @@ from sslogit.experiments import (
     sim2_experiment,
 )
 from sslogit.ratios import unit_weights
-from sslogit.select import Grid
+from sslogit.select import METHODS, Grid, grid_search
 
 ONE_POINT_GRID = Grid((0.0,), (0.0,), (0.0,))
 
@@ -407,3 +412,85 @@ class TestRunTrials:
         )
         with pytest.raises(KeyError):
             result.summary("sslrcs")
+
+
+def records_by_separate_searches(experiment, methods, n_trials, base_seed, grid):
+    """run_trials' records from one grid_search per method and trial: the
+    reference that the shared search must reproduce."""
+    records = []
+    for i in range(n_trials):
+        seed = base_seed + i
+        data, weights = experiment.make_trial(seed)
+        for m in methods:
+            try:
+                sel = grid_search(data, weights, grid=grid, method=m)
+            except SslogitError as exc:
+                records.append(TrialRecord(i, seed, m, *[None] * 6, str(exc)))
+                continue
+            _, labels = predict(sel.best_model, data.test_x)
+            p = sel.best_model.params
+            records.append(TrialRecord(
+                i, seed, m, prediction_error(labels, data.test_y), p.gamma1, p.gamma2,
+                float(np.log10(p.lam)), sel.best_report.gic, sel.best_model.converged,
+            ))
+    return records
+
+
+class TestSharedTrialSearch:
+    """One search per trial serves every method, with each method's own
+    records and failures."""
+
+    @pytest.mark.parametrize(
+        "experiment, methods, grid",
+        [
+            (sim1_experiment(25), METHODS, None),
+            (sim1_experiment(100), ("slr", "sslrcs"), None),
+            (
+                sim1_experiment(50),
+                ("lsslr", "sslrcs", "slr"),
+                Grid((0.5, 1.0), (0.0,), (-3.0, -1.0, 1.0)),
+            ),
+            (_ToyExperiment(), ("lsslr",), None),
+        ],
+        ids=["sim1-25", "sim1-100-two", "sim1-50-no-zero-gamma1", "toy-lsslr"],
+    )
+    def test_records_equal_separate_searches(self, experiment, methods, grid):
+        result = run_trials(experiment, methods=methods, n_trials=3, base_seed=40, grid=grid)
+        assert result.records == records_by_separate_searches(experiment, methods, 3, 40, grid)
+
+    def test_one_fit_per_trial(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[3]))
+            return fit_step1_batch(*args)
+
+        monkeypatch.setattr(select_mod, "fit_step1_batch", spy)
+        run_trials(_ToyExperiment(), n_trials=2, grid=Grid((0.0, 1.0), (0.0,), (0.0, 1.0)))
+        assert calls == [4, 4]
+
+    def test_a_method_fails_alone(self, monkeypatch):
+        def fail_zero_gamma(data, weights, gammas, lams, *rest):
+            state = fit_step1_batch(data, weights, gammas, lams, *rest)
+            for b in np.flatnonzero(np.asarray(gammas) == 0.0):
+                state.status[b] = objective_mod._FAILED
+            return state
+
+        monkeypatch.setattr(select_mod, "fit_step1_batch", fail_zero_gamma)
+        grid = Grid((0.0, 1.0), (0.0,), (0.0, 1.0))
+        result = run_trials(_ToyExperiment(), methods=("sslrcs", "slr"), n_trials=2, grid=grid)
+        assert result.summary("sslrcs").n_failed == 0
+        assert result.summary("slr").n_failed == 2
+        assert {r.error for r in result.records if r.method == "slr"} == {
+            "all 2 grid candidates failed; first error: singular Hessian"
+        }
+
+    def test_a_failed_search_is_recorded_for_every_method(self, monkeypatch):
+        def boom(*args):
+            raise NumericalError("search broke")
+
+        monkeypatch.setattr(experiments_mod, "shared_search", boom)
+        result = run_trials(_ToyExperiment(), n_trials=2, grid=ONE_POINT_GRID)
+        assert len(result.records) == 2 * len(METHODS)
+        assert {r.error for r in result.records} == {"search broke"}
+        assert all(result.summary(m).n_failed == 2 for m in METHODS)

@@ -302,3 +302,118 @@ class TestBatchIndependence:
         for i in range(b):
             for got, want in zip(batch, pieces(slice(i, i + 1))):
                 np.testing.assert_array_equal(got[i], want[0])
+
+
+def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta, halvings=None):
+    """The line search as one objective call per halving, the reference
+    that _line_search must equal bit for bit. Appends each row's accepted
+    k, or None for a row that exhausted the halvings, to halvings."""
+    step = np.ones(w.shape[0])
+    k = np.zeros(w.shape[0], dtype=np.int64)
+    w_try = w - delta
+    obj_try = objective_mod._batch_objective(w_try, x, v, yt, lams, n1)
+    need = ~(np.isfinite(obj_try) & (obj_try > obj))
+    for _ in range(objective_mod.MAX_HALVINGS):
+        if not need.any():
+            break
+        step[need] *= 0.5
+        k[need] += 1
+        w_try[need] = w[need] - step[need, None] * delta[need]
+        obj_try[need] = objective_mod._batch_objective(
+            w_try[need], x, v[need], yt[need], lams[need], n1
+        )
+        need = ~(np.isfinite(obj_try) & (obj_try > obj))
+    if halvings is not None:
+        halvings.extend(None if n else int(j) for j, n in zip(k, need))
+    return w_try, obj_try, ~need
+
+
+def newton_instance(seed, n, d, b, separable):
+    """Kernel arguments for b step-1 rows; separable labels follow the sign
+    of a linear score, which drives the weak-ridge rows far out."""
+    rng = make_rng(seed)
+    x = build_design(rng.normal(size=(n, d - 1)) * rng.uniform(0.5, 3.0))
+    score = x @ rng.normal(scale=3.0, size=d)
+    y = (score > 0) if separable else (rng.random(n) < expit(score))
+    v = np.exp(rng.normal(0.0, 1.5, (b, n)) * rng.uniform(0.0, 1.0, (b, 1)))
+    lams = np.power(10.0, rng.uniform(-6.0, 2.5, b))
+    return x, v, y.astype(np.float64), lams, n, np.zeros((b, d))
+
+
+def newton_state_bytes(args):
+    s = objective_mod._newton_batch(*args)
+    arrays = (s.w, s.objective, s.iterations, s.grad_norm)
+    return tuple(a.tobytes() for a in arrays) + (s.status,)
+
+
+class TestChunkedLineSearch:
+    """_line_search tries the halvings in chunks; the Newton states must be
+    those of one halving per objective call."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        d=st.integers(2, 5),
+        b=st.integers(1, 40),
+        separable=st.booleans(),
+        max_iters=st.sampled_from([3, 100]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_states_equal_one_halving_per_call(self, seed, n, d, b, separable, max_iters):
+        args = newton_instance(seed, n, d, b, separable)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objective_mod, "MAX_ITERS", max_iters)
+            chunked = newton_state_bytes(args)
+            mp.setattr(objective_mod, "_line_search", line_search_by_halving)
+            assert newton_state_bytes(args) == chunked
+
+    def test_instances_exhaust_the_halvings_and_accept_inside_chunks(self, monkeypatch):
+        halvings = []
+
+        def recording(*args):
+            return line_search_by_halving(*args, halvings=halvings)
+
+        for seed in range(40):
+            rng = make_rng(seed)
+            n, d, b = int(rng.integers(2, 120)), int(rng.integers(2, 6)), int(rng.integers(1, 40))
+            args = newton_instance(seed, n, d, b, separable=seed % 2 == 1)
+            chunked = newton_state_bytes(args)
+            monkeypatch.setattr(objective_mod, "_line_search", recording)
+            assert newton_state_bytes(args) == chunked
+            monkeypatch.undo()
+        chunk_starts = {0, 1, 2, 4, 8, 16}
+        assert halvings.count(None) > 0
+        assert any(k is not None and k not in chunk_starts for k in halvings)
+        assert any(k is not None and k >= 16 for k in halvings)
+
+    def test_at_most_one_call_per_chunk_within_the_block_budget(self, monkeypatch):
+        chunk_rows, rows, per_step = [], [], [0]
+        objective, posterior = objective_mod._batch_objective, objective_mod._batch_posterior
+
+        def count_objective(w, *args):
+            rows.append(w.shape[0])
+            per_step[-1] += 1
+            if per_step[-1] > 1:
+                chunk_rows.append(w.shape[0])
+            return objective(w, *args)
+
+        def count_posterior(*args):
+            per_step.append(0)
+            return posterior(*args)
+
+        monkeypatch.setattr(objective_mod, "_batch_objective", count_objective)
+        monkeypatch.setattr(objective_mod, "_batch_posterior", count_posterior)
+        args = newton_instance(2, 250, 3, 40, separable=False)
+        budget = objective_mod.BLOCK_DOUBLES
+        step = max(objective_mod.MIN_BLOCK_ROWS, budget // args[0].size)
+        # As one row block every chunk is one call: the full step plus the
+        # five chunks of 30 halvings, some carrying more rows than a block.
+        monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", 10**9)
+        objective_mod._newton_batch(*args)
+        assert per_step[0] == 1 and max(per_step) == 1 + 5
+        assert max(chunk_rows) > step
+        # The default budget splits those chunks, so no call passes it.
+        monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", budget)
+        rows.clear()
+        objective_mod._newton_batch(*args)
+        assert max(rows) == step

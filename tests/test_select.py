@@ -1,5 +1,7 @@
 """Grid construction, criterion-minimum selection, and failure handling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sslogit.errors import NumericalError, ParameterError
 from sslogit.gic import gic_lsslr, gic_score, gic_slr
 from sslogit.objective import TuningParams
 from sslogit.ratios import RatioWeights, unit_weights
-from sslogit.select import Grid, default_grid, grid_search
+from sslogit.select import Grid, default_grid, grid_search, shared_search
 
 
 def make_instance(n1, n0, p, seed):
@@ -321,3 +323,84 @@ class TestAllCandidatesFailed:
         assert len(records) == 3
         assert all(r.report is None for r in records)
         assert all(r.error == "singular Hessian" for r in records)
+
+
+def assert_same_selection(got, want):
+    assert got.method == want.method
+    assert got.candidates == want.candidates
+    assert got.best_report == want.best_report
+    a, b = got.best_model, want.best_model
+    np.testing.assert_array_equal(a.w, b.w)
+    np.testing.assert_array_equal(a.t_hat, b.t_hat)
+    assert (a.params, a.final_objective, a.converged, a.newton_diagnostics) == (
+        b.params, b.final_objective, b.converged, b.newton_diagnostics
+    )
+
+
+class TestSharedSearch:
+    """One batch serves every requested method, and each method's selection
+    equals its own grid_search bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            default_grid(),
+            Grid((0.5, 1.0), (0.0,), (-2.0, 0.0, 1.0)),
+            Grid((1.0, 0.0), (0.0,), (-1.0, 2.0)),
+        ],
+        ids=["default", "no-zero-gamma1", "zero-gamma1-last"],
+    )
+    def test_every_subset_and_order_equals_separate_searches(self, monkeypatch, grid):
+        data, weights = make_instance(40, 20, 2, seed=21)
+        solo = {m: grid_search(data, weights, grid, method=m) for m in select_mod.METHODS}
+        fitted_rows = []
+
+        def fit_spy(*args):
+            fitted_rows.append(len(args[3]))
+            return fit_step1_batch(*args)
+
+        monkeypatch.setattr(select_mod, "fit_step1_batch", fit_spy)
+        n_lams = len(grid.log10_lambda_values)
+        n_grid = len(grid.gamma1_values) * n_lams
+        for k in (1, 2, 3):
+            for methods in itertools.permutations(select_mod.METHODS, k):
+                fitted_rows.clear()
+                search = shared_search(data, weights, grid, methods)
+                for m in methods:
+                    assert_same_selection(search.select(m), solo[m])
+                baseline = "lsslr" in methods or "slr" in methods
+                expected = n_grid if "sslrcs" in methods else 0
+                if baseline and (expected == 0 or 0.0 not in grid.gamma1_values):
+                    expected += n_lams
+                assert fitted_rows == [expected]
+
+    def test_method_outside_the_search_is_rejected(self):
+        data, weights = make_instance(15, 10, 2, seed=22)
+        search = shared_search(data, weights, TINY, ("slr",))
+        with pytest.raises(ParameterError, match="not part of this search"):
+            search.select("sslrcs")
+        with pytest.raises(ParameterError, match="method must be one of"):
+            shared_search(data, weights, TINY, ("slr", "svm"))
+
+    def test_failed_baseline_rows_leave_sslrcs_standing(self, monkeypatch):
+        # Every gamma1 = 0 row fails: the baselines raise as their own
+        # searches do, and sslrcs still selects from its other rows.
+        data, weights = make_instance(15, 10, 2, seed=23)
+
+        def fail_zero_gamma(data, weights, gammas, lams, *rest):
+            state = fit_step1_batch(data, weights, gammas, lams, *rest)
+            for b in np.flatnonzero(np.asarray(gammas) == 0.0):
+                state.status[b] = objective_mod._FAILED
+            return state
+
+        monkeypatch.setattr(select_mod, "fit_step1_batch", fail_zero_gamma)
+        search = shared_search(data, weights, TINY)
+        assert_same_selection(search.select("sslrcs"), grid_search(data, weights, TINY, "sslrcs"))
+        assert search.select("sslrcs").best_model.params.gamma1 == 0.5
+        for m in ("lsslr", "slr"):
+            with pytest.raises(NumericalError, match="all 3 grid candidates failed") as shared:
+                search.select(m)
+            with pytest.raises(NumericalError) as solo:
+                grid_search(data, weights, TINY, m)
+            assert str(shared.value) == str(solo.value)
+            assert shared.value.candidates == solo.value.candidates
