@@ -4,7 +4,9 @@ Two routes produce the same RatioWeights container. When the sampling
 densities are known (simulation studies) the ratio is evaluated in closed
 form; otherwise it is estimated by a least-squares importance fitting
 procedure with Gaussian kernel centers and closed-form leave-one-out
-selection of the kernel width and ridge amount.
+selection of the kernel width and ridge amount. Its systems are solved by
+Cholesky factors, and its long sums run in numpy's own loops, so the
+weights carry the same bytes at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import pdist
 
 from .data import SplitDataset, Seed, derive_seed, make_rng
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 
 # Estimated or exact ratios are clipped into [RATIO_FLOOR, RATIO_CAP] so a
 # single point cannot dominate or erase the weighted likelihood.
@@ -26,6 +29,9 @@ RATIO_CAP = 1e3
 DEFAULT_SIGMA_FACTORS = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 DEFAULT_RHO_VALUES = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_MAX_CENTERS = 100
+# The kernel width scale is the median distance over at most this many
+# seeded pooled rows (Garreau, Jitkrittum & Kanagawa 2017).
+MEDIAN_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -191,45 +197,69 @@ def _kernel(sq: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * sigma**2))
 
 
-def _loocv_score(
+def _moments(k_nu: np.ndarray, k_de: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H = k_de^T k_de / n_de and h = the mean row of k_nu. H is summed by
+    numpy's own loop: unlike a threaded BLAS product, its summation order
+    does not depend on the thread count."""
+    return np.einsum("ij,ik->jk", k_de, k_de) / k_de.shape[0], k_nu.mean(axis=0)
+
+
+def _ridge_solve(h_hat: np.ndarray, ridge: float, rhs: np.ndarray):
+    """(h_hat + ridge I)^{-1} rhs by one Cholesky factor, or None when the
+    system is not positive definite."""
+    factor, info = dpotrf(h_hat + ridge * np.eye(h_hat.shape[0]), lower=0, clean=0)
+    return dpotrs(factor, rhs, lower=0)[0] if info == 0 else None
+
+
+def _loocv_scores(
     k_nu: np.ndarray,
     k_de: np.ndarray,
-    rho: float,
-) -> float:
-    """Closed-form leave-one-out squared-error score for one (sigma, rho).
+    h_hat: np.ndarray,
+    h_vec: np.ndarray,
+    rhos: Sequence[float],
+) -> list[float]:
+    """Closed-form leave-one-out squared-error score of each rho at one sigma.
 
     Uses the matrix-inversion shortcut over held-out pairs: the first
     min(n_nu, n_de) rows of each kernel matrix are treated as paired
     leave-one-out cases, which is exact for the least-squares objective.
+    (h_hat, h_vec) are _moments(k_nu, k_de); each rho costs one Cholesky
+    factor and one solve for the stacked right-hand side [kde | h | knu].
     """
-    n_nu, b = k_nu.shape
+    n_nu = k_nu.shape[0]
     n_de = k_de.shape[0]
     n = min(n_nu, n_de)
     if n < 2:
-        return np.inf
-    h_hat = k_de.T @ k_de / n_de
-    h_vec = k_nu.mean(axis=0)
-
-    bmat = h_hat + rho * (n_de - 1) / n_de * np.eye(b)
+        return [np.inf] * len(rhos)
     knu = k_nu[:n].T  # (b, n)
     kde = k_de[:n].T
-    try:
-        binv_kde = np.linalg.solve(bmat, kde)
-        binv_h = np.linalg.solve(bmat, h_vec)
-        binv_knu = np.linalg.solve(bmat, knu)
-    except np.linalg.LinAlgError:
-        return np.inf
-    denom = n_de - np.sum(kde * binv_kde, axis=0)  # (n,)
-    if np.any(np.abs(denom) < 1e-12):
-        return np.inf
-    b0 = binv_h[:, None] + binv_kde * ((h_vec @ binv_kde) / denom)
-    b1 = binv_knu + binv_kde * (np.sum(knu * binv_kde, axis=0) / denom)
-    b2 = (n_de - 1) / (n_de * (n_nu - 1)) * (n_nu * b0 - b1)
-    np.maximum(b2, 0.0, out=b2)
-    r_de = np.sum(kde * b2, axis=0)
-    r_nu = np.sum(knu * b2, axis=0)
-    score = (r_de @ r_de / 2.0 - r_nu.sum()) / n
-    return float(score) if np.isfinite(score) else np.inf
+    rhs = np.vstack([k_de[:n], h_vec, k_nu[:n]]).T  # Fortran order, as LAPACK reads it
+    scores = []
+    for rho in rhos:
+        sol = _ridge_solve(h_hat, rho * (n_de - 1) / n_de, rhs)
+        if sol is None:
+            scores.append(np.inf)
+            continue
+        binv_kde, binv_h, binv_knu = sol[:, :n], sol[:, n], sol[:, n + 1:]
+        denom = n_de - np.sum(kde * binv_kde, axis=0)  # (n,)
+        if np.any(np.abs(denom) < 1e-12):
+            scores.append(np.inf)
+            continue
+        b0 = binv_h[:, None] + binv_kde * ((h_vec @ binv_kde) / denom)
+        b1 = binv_knu + binv_kde * (np.sum(knu * binv_kde, axis=0) / denom)
+        b2 = (n_de - 1) / (n_de * (n_nu - 1)) * (n_nu * b0 - b1)
+        np.maximum(b2, 0.0, out=b2)
+        r_de = np.sum(kde * b2, axis=0)
+        r_nu = np.sum(knu * b2, axis=0)
+        # np.sum, not a BLAS dot: the dot threads its sum above 10,000 entries.
+        score = (np.sum(r_de * r_de) / 2.0 - r_nu.sum()) / n
+        scores.append(float(score) if np.isfinite(score) else np.inf)
+    return scores
+
+
+def _loocv_score(k_nu: np.ndarray, k_de: np.ndarray, rho: float) -> float:
+    """The leave-one-out score of one (sigma, rho); see _loocv_scores."""
+    return _loocv_scores(k_nu, k_de, *_moments(k_nu, k_de), [rho])[0]
 
 
 def ulsif_fit(
@@ -245,8 +275,10 @@ def ulsif_fit(
 
     At most DEFAULT_MAX_CENTERS centers are subsampled from the numerator
     set. Every (sigma, rho) pair is scored by the closed-form leave-one-out
-    criterion; the winner's coefficients solve (H + rho I) alpha = h and
-    are clipped at zero.
+    criterion, with one Cholesky factor per pair and H and h built once
+    per sigma. The winner's coefficients solve (H + rho I) alpha = h, with
+    the winner's H and h kept from the scan, and are clipped at zero.
+    NumericalError if that final system is not positive definite.
     """
     x_nu = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
     x_de = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
@@ -266,34 +298,35 @@ def ulsif_fit(
     centers = x_nu[rng.choice(x_nu.shape[0], size=b, replace=False)]
 
     sq_nu, sq_de = _sq_dist(x_nu, centers), _sq_dist(x_de, centers)
-    best = (np.inf, 0, 0)  # (score, sigma index, rho index)
+    best = (np.inf, 0, 0, None)  # (score, sigma index, rho index, moments)
     for i, sigma in enumerate(sigmas):
         k_nu = _kernel(sq_nu, sigma)
         k_de = _kernel(sq_de, sigma)
-        for j, rho in enumerate(rhos):
-            score = _loocv_score(k_nu, k_de, rho)
+        moments = _moments(k_nu, k_de)
+        for j, score in enumerate(_loocv_scores(k_nu, k_de, *moments, rhos)):
             if score < best[0]:
-                best = (score, i, j)
-    score, i, j = best
-    if not np.isfinite(score):
+                best = (score, i, j, moments)
+    score, i, j, moments = best
+    if moments is None:
         # Degenerate sets (too few points for leave-one-out); take the
         # middle width and the strongest ridge deterministically.
         i, j = len(sigmas) // 2, len(rhos) - 1
-        score = np.inf
+        moments = _moments(_kernel(sq_nu, sigmas[i]), _kernel(sq_de, sigmas[i]))
     sigma, rho = sigmas[i], rhos[j]
 
-    k_nu = _kernel(sq_nu, sigma)
-    k_de = _kernel(sq_de, sigma)
-    h_hat = k_de.T @ k_de / x_de.shape[0]
-    h_vec = k_nu.mean(axis=0)
-    alpha = np.linalg.solve(h_hat + rho * np.eye(b), h_vec)
+    h_hat, h_vec = moments
+    alpha = _ridge_solve(h_hat, rho, h_vec)
+    if alpha is None:
+        raise NumericalError(
+            f"uLSIF system at sigma={sigma:g}, rho={rho:g} is not positive definite"
+        )
     np.maximum(alpha, 0.0, out=alpha)
     return UlsifModel(
         centers=centers,
         sigma=sigma,
         rho=rho,
         alpha=alpha,
-        loocv_score=float(score) if np.isfinite(score) else np.inf,
+        loocv_score=float(score),
         ratio_floor=ratio_floor,
         ratio_cap=ratio_cap,
     )
@@ -314,13 +347,19 @@ def weights_from_ulsif(
     """Estimate r = q_unlabeled/q_labeled on one split with one fit.
 
     The width grid is DEFAULT_SIGMA_FACTORS times the median pairwise
-    distance of the pooled covariates, and the ridge grid is
+    distance of the pooled covariates (labeled rows, then unlabeled). Above
+    MEDIAN_POINTS pooled rows the median is taken over MEDIAN_POINTS of
+    them, drawn without replacement from derive_seed(seed, 2); the centers
+    are drawn from derive_seed(seed, 1). The ridge grid is
     DEFAULT_RHO_VALUES. s_unlabeled is 1/r at the unlabeled points from
     the same model, clipped like r; it cannot move a fit (see sslogit.em).
     """
     if data.n_unlabeled == 0:
         raise DataError("ratios require unlabeled data")
     pooled = np.vstack([data.labeled_x, data.unlabeled_x])
+    if pooled.shape[0] > MEDIAN_POINTS:
+        rng = make_rng(derive_seed(seed, 2))
+        pooled = pooled[rng.choice(pooled.shape[0], size=MEDIAN_POINTS, replace=False)]
     scale = median_pairwise_distance(pooled)
     sigmas = [f * scale for f in DEFAULT_SIGMA_FACTORS]
 

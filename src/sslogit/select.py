@@ -113,15 +113,26 @@ class SharedSearch:
     col: GicColumn
     rows: dict[str, slice]
 
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def select(self, method: str) -> SelectionResult:
         """The criterion minimizer over this method's rows.
 
-        Baseline records carry gamma1 = 0. Ties go to the first minimum of
-        (gic, lambda, gamma1). NumericalError if every row failed.
+        Baseline records carry gamma1 = 0; lsslr and slr share one set of
+        records and one winner, built on the first request. Ties go to the
+        first minimum of (gic, lambda, gamma1). NumericalError if every row
+        failed.
         """
         meth = _method(method)
         if meth not in self.rows:
             raise ParameterError(f"method {meth!r} was not part of this search")
+        key = "sslrcs" if meth == "sslrcs" else "baseline"
+        if key not in self._built:
+            self._built[key] = self._build(meth)
+        records, best_model, best_report = self._built[key]
+        return SelectionResult(meth, best_model, best_report, list(records))
+
+    def _build(self, meth: str) -> tuple[list[CandidateRecord], FittedModel, GicReport]:
         rows = self.rows[meth]
         records: list[CandidateRecord] = []
         for b in range(rows.start, rows.stop):
@@ -150,14 +161,8 @@ class SharedSearch:
             exc.candidates = records  # type: ignore[attr-defined]
             raise exc
         best = min(scored)[-1]
-        return SelectionResult(
-            method=meth,
-            best_model=fitted_model(
-                self.data, self.state, rows.start + best, records[best].params
-            ),
-            best_report=records[best].report,
-            candidates=records,
-        )
+        best_model = fitted_model(self.data, self.state, rows.start + best, records[best].params)
+        return records, best_model, records[best].report
 
 
 def shared_search(

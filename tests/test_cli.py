@@ -14,6 +14,7 @@ from scipy.special import expit
 
 import sslogit
 import sslogit.cli as cli_mod
+import sslogit.ratios as ratios_mod
 import sslogit.select as select_mod
 from sslogit.cli import main
 from sslogit.data import make_rng
@@ -382,6 +383,16 @@ class TestSelect:
         ]) == code
         assert "grid candidates failed" in capsys.readouterr().err
 
+    def test_indefinite_ulsif_system_exits_3(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr(ratios_mod, "dpotrf", lambda a, **kwargs: (a, 1))
+        assert main([
+            "fit", "--labeled", str(workdir / "labeled.csv"),
+            "--unlabeled", str(workdir / "unlabeled.csv"), "--method", "sslrcs",
+            "--gamma1", "0.5", "--model-out", str(workdir / "m.json"),
+        ]) == 3
+        assert "not positive definite" in capsys.readouterr().err
+        assert not (workdir / "m.json").exists()
+
     def test_ratio_weights_are_fit_only_for_sslrcs(self, workdir, monkeypatch):
         # slr and lsslr never read the ratio weights, so a request without
         # sslrcs must not pay for a uLSIF fit.
@@ -670,25 +681,37 @@ class TestReplicate:
 
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # The thread count is read when numpy loads, so each run gets its
-        # own interpreter with the variables set before the import.
+        # own interpreter with the variables set before the import. sim1
+        # uses exact ratios; sim2 and the fit (1,300 pooled rows, above
+        # the median subsample's cap) run uLSIF.
         src = str(Path(sslogit.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            path = tmp_path / f"threads{threads}.json"
-            env = dict(
-                os.environ,
-                OPENBLAS_NUM_THREADS=threads,
-                OMP_NUM_THREADS=threads,
-                PYTHONPATH=src,
-            )
-            subprocess.run(
-                [sys.executable, "-m", "sslogit.cli", "replicate", "sim1",
-                 "--n", "25", "--trials", "2", "--seed", "7",
-                 "--output", str(path)],
-                env=env, check=True, capture_output=True, timeout=600,
-            )
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+        labeled, unlabeled = tmp_path / "lab.csv", tmp_path / "unl.csv"
+        write_labeled(labeled, 100, 3, seed=21)
+        write_features(unlabeled, 1200, 3, seed=22)
+        commands = {
+            "sim1": ["replicate", "sim1", "--n", "25", "--trials", "2", "--seed", "7",
+                     "--output"],
+            "sim2": ["replicate", "sim2", "--trials", "1", "--seed", "0", "--output"],
+            "fit": ["fit", "--labeled", str(labeled), "--unlabeled", str(unlabeled),
+                    "--method", "sslrcs", "--gamma1", "0.5", "--log10-lambda=-1",
+                    "--seed", "3", "--model-out"],
+        }
+        for name, argv in commands.items():
+            outputs = []
+            for threads in ("1", "2"):
+                path = tmp_path / f"{name}-threads{threads}.json"
+                env = dict(
+                    os.environ,
+                    OPENBLAS_NUM_THREADS=threads,
+                    OMP_NUM_THREADS=threads,
+                    PYTHONPATH=src,
+                )
+                subprocess.run(
+                    [sys.executable, "-m", "sslogit.cli", *argv, str(path)],
+                    env=env, check=True, capture_output=True, timeout=600,
+                )
+                outputs.append(path.read_bytes())
+            assert outputs[0] == outputs[1], name
 
     def test_benchmark_csvs_via_env_dir(self, tmp_path, monkeypatch, capsys):
         spec = BENCHMARK_SPECS["pima"]

@@ -9,8 +9,9 @@ from scipy.spatial.distance import pdist
 
 import sslogit.ratios as ratios_mod
 from sslogit.data import SplitDataset, make_rng
-from sslogit.errors import DataError, ParameterError
+from sslogit.errors import DataError, NumericalError, ParameterError
 from sslogit.ratios import (
+    MEDIAN_POINTS,
     DiagGaussian,
     _kernel,
     _loocv_score,
@@ -288,6 +289,18 @@ class TestUlsifFit:
         ratios = ulsif_predict(model, x_de)
         assert np.mean((ratios > 0.5) & (ratios < 2.0)) > 0.9
 
+    def test_indefinite_final_system_raises(self, monkeypatch):
+        # Every factorization fails: the scan scores every pair inf, and
+        # the fallback pair's final system is reported, not raised raw.
+        def failing_dpotrf(a, **kwargs):
+            return a, 1
+
+        monkeypatch.setattr(ratios_mod, "dpotrf", failing_dpotrf)
+        rng = make_rng(10)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            ulsif_fit(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)),
+                      [0.5, 1.0], [0.01, 0.1], seed=0)
+
     def test_prediction_respects_clip_bounds(self):
         rng = make_rng(9)
         model = ulsif_fit(
@@ -360,6 +373,41 @@ class TestWeightsFromUlsif:
         np.testing.assert_array_equal(w.r_labeled, ulsif_predict(r_model, data.labeled_x))
         s_expected = np.clip(1.0 / ulsif_predict(r_model, data.unlabeled_x), 0.7, 1.2)
         np.testing.assert_array_equal(w.s_unlabeled, s_expected)
+
+    @staticmethod
+    def median_inputs(monkeypatch, data, seed):
+        seen = []
+
+        def spy(x):
+            seen.append(x)
+            return median_pairwise_distance(x)
+
+        monkeypatch.setattr(ratios_mod, "median_pairwise_distance", spy)
+        weights_from_ulsif(data, seed=seed)
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("n0", [60, MEDIAN_POINTS - 40])
+    def test_median_sees_every_pooled_row_up_to_the_cap(self, monkeypatch, n0):
+        data = make_split(40, n0, 2, seed=14)
+        seen = self.median_inputs(monkeypatch, data, seed=5)
+        np.testing.assert_array_equal(seen, np.vstack([data.labeled_x, data.unlabeled_x]))
+
+    def test_median_subsample_above_the_cap(self, monkeypatch):
+        data = make_split(60, MEDIAN_POINTS + 140, 2, seed=15)
+        pooled = np.vstack([data.labeled_x, data.unlabeled_x])
+        index = {row.tobytes(): i for i, row in enumerate(pooled)}
+        assert len(index) == pooled.shape[0]
+
+        def drawn(seed):
+            seen = self.median_inputs(monkeypatch, data, seed)
+            assert seen.shape == (MEDIAN_POINTS, 2)
+            rows = {index[row.tobytes()] for row in seen}
+            assert len(rows) == MEDIAN_POINTS
+            return rows
+
+        assert drawn(seed=5) == drawn(seed=5)
+        assert drawn(seed=5) != drawn(seed=6)
 
     def test_config_widths_scale_with_median_distance(self, monkeypatch):
         # A tiny one-factor grid still produces a valid fit; the factor is

@@ -374,6 +374,30 @@ class TestSharedSearch:
                     expected += n_lams
                 assert fitted_rows == [expected]
 
+    def test_baselines_share_one_build(self, monkeypatch):
+        # lsslr and slr read the same rows: their records, reports and
+        # winner are built once per search, however often they are asked.
+        data, weights = make_instance(15, 10, 2, seed=24)
+        reports, imputed = [], []
+        report = gic_mod.GicColumn.report
+
+        def report_spy(self, b, params):
+            reports.append(b)
+            return report(self, b, params)
+
+        def e_step_spy(w, data):
+            imputed.append(w)
+            return e_step(w, data)
+
+        monkeypatch.setattr(gic_mod.GicColumn, "report", report_spy)
+        monkeypatch.setattr(em_mod, "e_step", e_step_spy)
+        search = shared_search(data, weights, TINY)
+        results = [search.select(m) for m in ("sslrcs", "lsslr", "slr", "lsslr")]
+        assert len(reports) == 6 + 3 and len(imputed) == 2
+        assert [r.method for r in results] == ["sslrcs", "lsslr", "slr", "lsslr"]
+        assert results[1].candidates == results[2].candidates
+        assert results[1].best_model is results[2].best_model
+
     def test_method_outside_the_search_is_rejected(self):
         data, weights = make_instance(15, 10, 2, seed=22)
         search = shared_search(data, weights, TINY, ("slr",))
