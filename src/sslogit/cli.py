@@ -43,7 +43,7 @@ from .ratios import (
     unit_weights,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, default_grid, shared_search
+from .select import METHODS, Grid, check_method, default_grid, shared_search
 
 DATA_DIR_ENV = "SSLOGIT_DATA_DIR"
 MODEL_FORMAT = "sslogit-model"
@@ -157,10 +157,7 @@ def _add_ratio_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _split_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip().lower() for m in text.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise ParameterError(f"unknown method {m!r}; choose from {METHODS}")
+    methods = tuple(check_method(m.strip()) for m in text.split(",") if m.strip())
     if not methods:
         raise ParameterError("no methods requested")
     if len(set(methods)) != len(methods):
@@ -207,49 +204,47 @@ def _load_user_data(
     return data, std, unit_weights(data)
 
 
+def _params_json(p: TuningParams) -> dict:
+    return {"gamma1": p.gamma1, "gamma2": p.gamma2, "log10_lambda": float(np.log10(p.lam))}
+
+
+# The select table: one row per (label, cell text of a method's JSON record).
+_SELECT_ROWS = (
+    ("gamma1", lambda r: _fmt(r["selected"]["gamma1"], ".2f")),
+    ("log10 lambda", lambda r: _fmt(r["selected"]["log10_lambda"], ".2f")),
+    ("GIC", lambda r: format(r["gic"], ".6g")),
+    ("weighted NLL", lambda r: format(r["weighted_nll"], ".6g")),
+    ("trace term", lambda r: format(r["trace_term"], ".6g")),
+    ("converged", lambda r: str(r["converged"]).lower()),
+    ("test PE (%)", lambda r: _fmt(r["test_pe_percent"], ".3g")),
+)
+
+
 def cmd_select(args) -> int:
     methods = _split_methods(args.methods)
     grid = _grid_from_args(args)
     data, std, weights = _load_user_data(args, methods, test=args.test)
 
-    col_labels = list(methods)
-    field_rows = {name: [] for name in (
-        "gamma1", "log10 lambda", "GIC", "weighted NLL", "trace term",
-        "converged", "test PE (%)",
-    )}
     json_methods = {}
+    pes: dict[int, float] = {}  # test PE per winner, by id
     search = shared_search(data, weights, grid, methods)
     for m in methods:
         sel = search.select(m)
         best, report = sel.best_model, sel.best_report
-        pe = None
-        if data.test_x is not None:
+        if id(best) not in pes and data.test_x is not None:
             _, labels = predict(best, data.test_x)
-            pe = prediction_error(labels, data.test_y)
-        field_rows["gamma1"].append(_fmt(best.params.gamma1, ".2f"))
-        field_rows["log10 lambda"].append(_fmt(float(np.log10(best.params.lam)), ".2f"))
-        field_rows["GIC"].append(f"{report.gic:.6g}")
-        field_rows["weighted NLL"].append(f"{report.weighted_nll:.6g}")
-        field_rows["trace term"].append(f"{report.trace_term:.6g}")
-        field_rows["converged"].append(str(best.converged).lower())
-        field_rows["test PE (%)"].append(_fmt(pe, ".3g"))
+            pes[id(best)] = prediction_error(labels, data.test_y)
         json_methods[m] = {
-            "selected": {
-                "gamma1": best.params.gamma1,
-                "gamma2": best.params.gamma2,
-                "log10_lambda": float(np.log10(best.params.lam)),
-            },
+            "selected": _params_json(best.params),
             "gic": report.gic,
             "weighted_nll": report.weighted_nll,
             "trace_term": report.trace_term,
             "converged": best.converged,
-            "test_pe_percent": pe,
+            "test_pe_percent": pes.get(id(best)),
             "coefficients": best.w.tolist(),
             "candidates": [
                 {
-                    "gamma1": c.params.gamma1,
-                    "gamma2": c.params.gamma2,
-                    "log10_lambda": float(np.log10(c.params.lam)),
+                    **_params_json(c.params),
                     "gic": None if c.report is None else c.report.gic,
                     "converged": c.converged,
                     "error": c.error,
@@ -257,7 +252,8 @@ def cmd_select(args) -> int:
                 for c in sel.candidates
             ],
         }
-    print(_render_table("selected", col_labels, list(field_rows.items())))
+    rows = [(label, [cell(json_methods[m]) for m in methods]) for label, cell in _SELECT_ROWS]
+    print(_render_table("selected", methods, rows))
     if args.output:
         payload = {
             "command": "select",

@@ -15,11 +15,10 @@ with labeled and unlabeled data", 2000).
 
 So a fitted model is the step-1 fit, with t_hat = e_step(w) and no EM
 iterations. fit_step1_batch fits a batch of (gamma1, lambda) rows as
-arrays, and fitted_model turns one of its rows into a FittedModel: the
-grid search (sslogit.select) fits and scores its whole grid as one batch
-and builds a model for its winner alone. fit_lambda_batch builds a model
-for every ridge value of one gamma1; fit_semisupervised (alias
-fit_supervised) is a batch of one.
+arrays, and fitted_model alone builds a FittedModel from one of its rows.
+fit_semisupervised (alias fit_supervised) is fitted_model over a one-row
+batch; the grid search (sslogit.select) builds one for each winner, and
+fit_lambda_batch one for every ridge value of one gamma1.
 gamma2 is carried in the model's parameters and changes nothing. e_step
 and m_step stay as the two halves of the alternation, for checking the
 fixed point.
@@ -34,9 +33,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import SplitDataset, build_design
-from .errors import NumericalError
 from .objective import (
-    _FAILED,
     NewtonDiagnostics,
     TuningParams,
     _newton_batch,
@@ -66,10 +63,7 @@ def fit_step1(
     params: TuningParams,
 ) -> np.ndarray:
     """Maximize the weighted labeled-only penalized likelihood from zero."""
-    state = fit_step1_batch(data, weights, params.gamma1, [params.lam])
-    if state.status[0] == _FAILED:
-        raise NumericalError("singular Hessian")
-    return state.w[0]
+    return fit_step1_batch(data, weights, params.gamma1, [params.lam]).checked_w(0)
 
 
 def e_step(w: np.ndarray, data: SplitDataset) -> np.ndarray:
@@ -95,10 +89,8 @@ def fit_semisupervised(
 ) -> FittedModel:
     """The EM fixed point for one candidate, which is its step-1 fit (see
     the module docstring); NumericalError if the Newton solve failed."""
-    fits = fit_lambda_batch(data, weights, params.gamma1, params.gamma2, [params.lam])
-    if fits.models[0] is None:
-        raise NumericalError(fits.errors[0])
-    return fits.models[0]
+    state = fit_step1_batch(data, weights, params.gamma1, [params.lam])
+    return fitted_model(data, state, 0, params)
 
 
 # The labeled-only fit is the same fit: the unlabeled block never moves it.
@@ -147,8 +139,9 @@ def fit_step1_batch(
 def fitted_model(
     data: SplitDataset, state: _NewtonBatchState, i: int, params: TuningParams
 ) -> FittedModel:
-    """Row i of a fit_step1_batch state as a model, with t_hat = e_step(w)."""
-    w = state.w[i].copy()
+    """Row i of a fit_step1_batch state as a model, with t_hat = e_step(w);
+    NumericalError if the row's fit failed."""
+    w = state.checked_w(i).copy()
     return FittedModel(
         w=w,
         t_hat=e_step(w, data),
@@ -171,18 +164,13 @@ def fit_lambda_batch(
     fit_step1_batch call.
 
     gamma2 is recorded in each model's parameters and has no other effect.
-    A failed candidate's model is None and its error is "singular Hessian".
+    A failed candidate's model is None and its error is the batch's text.
     """
     lams = np.asarray(lams, dtype=np.float64)
     state = fit_step1_batch(data, weights, gamma1, lams)
-    models: list[Optional[FittedModel]] = []
-    errors: list[Optional[str]] = []
-    for i, lam in enumerate(lams):
-        if state.status[i] == _FAILED:
-            models.append(None)
-            errors.append("singular Hessian")
-            continue
-        params = TuningParams(gamma1=gamma1, gamma2=gamma2, lam=float(lam))
-        models.append(fitted_model(data, state, i, params))
-        errors.append(None)
+    errors = [state.error(i) for i in range(lams.size)]
+    models = [
+        None if err else fitted_model(data, state, i, TuningParams(gamma1, gamma2, float(lam)))
+        for i, (lam, err) in enumerate(zip(lams, errors))
+    ]
     return _BatchFits(models, errors)

@@ -26,7 +26,7 @@ from .ratios import (
     weights_from_exact,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, shared_search
+from .select import METHODS, Grid, check_method, shared_search
 from .select import grid_search  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 SIM1_N_LABELED = (25, 50, 100, 150, 200, 250)
@@ -466,13 +466,11 @@ def run_trials(
 ) -> RunResult:
     """Trial i uses seed base_seed + i; per-trial failures are recorded and
     excluded from the means. One shared_search per trial serves every
-    method; a method whose rows all fail records its own error."""
+    method; a method whose rows all fail records its own error. The test
+    block is predicted once per distinct winner: lsslr and slr share one."""
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
-    methods = tuple(str(m).lower() for m in methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ParameterError(f"unknown method {m!r}")
+    methods = tuple(check_method(m) for m in methods)
     records: list[TrialRecord] = []
 
     def failure(i, seed, m, exc):
@@ -492,11 +490,15 @@ def run_trials(
         except SslogitError as exc:
             records.extend(failure(i, seed, m, exc) for m in methods)
             continue
+        pes: dict[int, float] = {}  # test PE per winner, by id
         for m in methods:
             try:
                 sel = search.select(m)
-                _, labels = predict(sel.best_model, data.test_x)
-                pe = prediction_error(labels, data.test_y)
+                key = id(sel.best_model)
+                if key not in pes:
+                    _, labels = predict(sel.best_model, data.test_x)
+                    pes[key] = prediction_error(labels, data.test_y)
+                pe = pes[key]
             except SslogitError as exc:
                 records.append(failure(i, seed, m, exc))
                 continue

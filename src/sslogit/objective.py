@@ -11,7 +11,9 @@ written once, for a batch of B coefficient vectors that share the design
 rows and differ in ridge value, row weights and targets. No row's value
 depends on its batch (see _rowwise): a fit run alone equals its row of a
 whole grid bit for bit, and gic reads its criterion pieces from here. A
-batch runs in row blocks of bounded size (see row_blocks).
+batch runs in row blocks of bounded size (see row_blocks). The batch's
+state alone decides that a failed row has no fit and why
+(_NewtonBatchState.error); every caller reads that text from it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,16 @@ class _NewtonBatchState:
     iterations: np.ndarray  # (B,) int
     grad_norm: np.ndarray  # (B,)
     status: list[str]
+
+    def error(self, i: int) -> str | None:
+        """Why row i has no fit, or None when it has one."""
+        return "singular Hessian" if self.status[i] == _FAILED else None
+
+    def checked_w(self, i: int) -> np.ndarray:
+        """Row i's coefficients; NumericalError if its fit failed."""
+        if self.error(i):
+            raise NumericalError(self.error(i))
+        return self.w[i]
 
     def diagnostics(self, i: int) -> NewtonDiagnostics:
         return NewtonDiagnostics(
@@ -397,6 +409,4 @@ def newton_maximize(
     """Maximize the objective at fixed targets t from init."""
     w, x, v, yt, lams, n1 = _batch_of_one(init, data, weights, t, params)
     state = _newton_batch(x, v, yt, lams, n1, w)
-    if state.status[0] == _FAILED:
-        raise NumericalError("singular Hessian")
-    return state.w[0], state.diagnostics(0)
+    return state.checked_w(0), state.diagnostics(0)

@@ -9,8 +9,9 @@ row of a single em.fit_step1_batch call, scored by a single gic.gic_column
 call with the same weights r^gamma1, built once. The baselines are the
 gamma1 = 0 rows, whose weights r^0 are exactly ones, so one batch serves
 all three methods (shared_search) and each picks its winner from its own
-rows. A failed fit's score is dropped as "singular Hessian", and only the
-winner is built into a FittedModel.
+slice of rows, built once whichever method asks. A failed fit keeps the
+batch's error text, and only a slice's winner becomes a FittedModel.
+check_method checks every method name the package is given.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .em import fit_lambda_batch  # noqa: F401  (wrapped by name in perfbench/tr
 from .errors import NumericalError, ParameterError
 from .gic import GicColumn, GicReport, gic_column
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .objective import _FAILED, TuningParams, _NewtonBatchState, weighted_rows
+from .objective import TuningParams, _NewtonBatchState, weighted_rows
 from .ratios import RatioWeights
 
 METHODS = ("sslrcs", "lsslr", "slr")
@@ -36,7 +37,8 @@ METHODS = ("sslrcs", "lsslr", "slr")
 class Grid:
     """Candidate values; lambdas are specified on the log10 scale.
 
-    gamma2_values is validated but has no effect on the search.
+    gamma2_values is validated but has no effect on the search. A gamma
+    given as -0 is stored as 0.0 (-0.0 + 0.0 is 0.0).
     """
 
     gamma1_values: tuple[float, ...]
@@ -45,7 +47,7 @@ class Grid:
 
     def __post_init__(self):
         for name in ("gamma1_values", "gamma2_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
+            vals = tuple(float(v) + 0.0 for v in getattr(self, name))
             if not vals:
                 raise ParameterError(f"{name} must be nonempty")
             if any(not 0.0 <= v <= 1.0 for v in vals):
@@ -90,10 +92,11 @@ class SelectionResult:
     candidates: list[CandidateRecord] = field(repr=False)
 
 
-def _method(method: str) -> str:
+def check_method(method: str) -> str:
+    """The method's lower-case name; ParameterError if it is not one of METHODS."""
     meth = str(method).lower()
     if meth not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+        raise ParameterError(f"unknown method {method!r}; the method must be one of {METHODS}")
     return meth
 
 
@@ -103,7 +106,8 @@ class SharedSearch:
 
     rows maps each requested method to its slice of the batch: sslrcs's
     (gamma1, lambda) rows, and one gamma1 = 0 block of lambda rows that
-    the baselines share.
+    the baselines share. Each slice's records and winner are built once,
+    on the first request, keyed by the slice's bounds.
     """
 
     data: SplitDataset
@@ -118,31 +122,30 @@ class SharedSearch:
     def select(self, method: str) -> SelectionResult:
         """The criterion minimizer over this method's rows.
 
-        Baseline records carry gamma1 = 0; lsslr and slr share one set of
-        records and one winner, built on the first request. Ties go to the
-        first minimum of (gic, lambda, gamma1). NumericalError if every row
-        failed.
+        Each record carries its row's gamma1 (0 on the baseline rows), so
+        lsslr and slr share one set of records and one winner. Ties go to
+        the first minimum of (gic, lambda, gamma1). NumericalError if every
+        row failed.
         """
-        meth = _method(method)
+        meth = check_method(method)
         if meth not in self.rows:
             raise ParameterError(f"method {meth!r} was not part of this search")
-        key = "sslrcs" if meth == "sslrcs" else "baseline"
+        rows = self.rows[meth]
+        key = (rows.start, rows.stop)
         if key not in self._built:
-            self._built[key] = self._build(meth)
+            self._built[key] = self._build(rows)
         records, best_model, best_report = self._built[key]
         return SelectionResult(meth, best_model, best_report, list(records))
 
-    def _build(self, meth: str) -> tuple[list[CandidateRecord], FittedModel, GicReport]:
-        rows = self.rows[meth]
+    def _build(self, rows: slice) -> tuple[list[CandidateRecord], FittedModel, GicReport]:
         records: list[CandidateRecord] = []
         for b in range(rows.start, rows.stop):
-            gamma1 = float(self.row_gammas[b]) if meth == "sslrcs" else 0.0
-            params = TuningParams(gamma1=gamma1, gamma2=0.0, lam=float(self.row_lams[b]))
-            fitted = self.state.status[b] != _FAILED
-            report, err = None, "singular Hessian"
+            params = TuningParams(float(self.row_gammas[b]), 0.0, float(self.row_lams[b]))
+            err = self.state.error(b)
+            fitted, report = err is None, None
             if fitted:
                 try:
-                    report, err = self.col.report(b, params), None
+                    report = self.col.report(b, params)
                 except NumericalError as exc:
                     err = str(exc)
             records.append(CandidateRecord(params, report, fitted, err))
@@ -178,7 +181,7 @@ def shared_search(
     read the grid's own gamma1 = 0 rows when it has them. No method fits
     to the unlabeled block; it enters only through the ratio weights.
     """
-    meths = [_method(m) for m in methods]
+    meths = [check_method(m) for m in methods]
     if not meths:
         raise ParameterError("methods must be nonempty")
     g = grid or default_grid()

@@ -328,6 +328,58 @@ class TestSelect:
             assert m["gic"] == pytest.approx(
                 m["weighted_nll"] + 2.0 * m["trace_term"], rel=1e-12
             )
+        # Every table cell is its method's JSON value, formatted.
+        table = out.splitlines()
+        assert table[0].split() == ["selected", "sslrcs", "lsslr", "slr"]
+        for label, value, spec in (
+            ("gamma1", lambda m: m["selected"]["gamma1"], ".2f"),
+            ("log10 lambda", lambda m: m["selected"]["log10_lambda"], ".2f"),
+            ("GIC", lambda m: m["gic"], ".6g"),
+            ("weighted NLL", lambda m: m["weighted_nll"], ".6g"),
+            ("trace term", lambda m: m["trace_term"], ".6g"),
+            ("converged", lambda m: str(m["converged"]).lower(), ""),
+            ("test PE (%)", lambda m: m["test_pe_percent"], ".3g"),
+        ):
+            row = next(line for line in table if line.startswith(label + " "))
+            cells = row[len(label):].split()
+            assert cells == [format(value(methods[m]), spec) for m in ("sslrcs", "lsslr", "slr")]
+
+    def test_one_prediction_per_winner(self, workdir, monkeypatch, capsys):
+        # lsslr and slr share one winner: three methods predict the test
+        # file twice.
+        calls, original = [], cli_mod.predict
+
+        def spy(model, x):
+            calls.append(model)
+            return original(model, x)
+
+        monkeypatch.setattr(cli_mod, "predict", spy)
+        assert main([
+            "select", "--labeled", str(workdir / "labeled.csv"),
+            "--unlabeled", str(workdir / "unlabeled.csv"),
+            "--test", str(workdir / "test.csv"),
+            "--methods", "sslrcs,lsslr,slr", *TINY_GRID,
+        ]) == 0
+        assert len(calls) == 2
+        assert calls[0] is not calls[1]
+
+    def test_negative_zero_gamma1_prints_zero(self, workdir, capsys):
+        # A gamma1 given as -0 is the grid's 0: the echo, the table and
+        # every record print 0.0, never -0.0.
+        out_path = workdir / "select.json"
+        assert main([
+            "select", "--labeled", str(workdir / "labeled.csv"),
+            "--unlabeled", str(workdir / "unlabeled.csv"),
+            "--methods", "sslrcs,lsslr,slr", "--grid-gamma1=-0,0.5",
+            "--grid-log10-lambda=-1.0,0.0", "--output", str(out_path),
+        ]) == 0
+        assert "-0.00" not in capsys.readouterr().out
+        doc = json.loads(out_path.read_text())
+        gammas = list(doc["config"]["grid"]["gamma1"])
+        for m in doc["methods"].values():
+            gammas += [m["selected"]["gamma1"]] + [c["gamma1"] for c in m["candidates"]]
+        assert len(gammas) == 2 + 3 + 4 + 2 + 2
+        assert all(np.copysign(1.0, g) == 1.0 for g in gammas)
 
     def test_semisupervised_methods_require_unlabeled(self, workdir, capsys):
         code = main([
@@ -474,6 +526,20 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "unknown method" in capsys.readouterr().err
+
+    def test_unknown_method_message_is_the_same_everywhere(self, workdir, capsys):
+        data = sslogit.SplitDataset(np.zeros((2, 1)), np.array([0, 1]), np.zeros((0, 1)))
+        with pytest.raises(ParameterError) as search:
+            sslogit.shared_search(data, sslogit.unit_weights(data), methods=("svm",))
+        with pytest.raises(ParameterError) as trials:
+            sslogit.run_trials(sslogit.sim1_experiment(25), methods=("svm",))
+        assert main([
+            "select", "--labeled", str(workdir / "labeled.csv"), "--methods", "svm",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {search.value}\n"
+        assert str(search.value) == str(trials.value)
+        assert "unknown method 'svm'" in str(search.value)
+        assert "must be one of" in str(search.value)
 
     def test_repeated_method_name(self, workdir, capsys):
         code = main([

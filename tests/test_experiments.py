@@ -458,6 +458,22 @@ class TestSharedTrialSearch:
         result = run_trials(experiment, methods=methods, n_trials=3, base_seed=40, grid=grid)
         assert result.records == records_by_separate_searches(experiment, methods, 3, 40, grid)
 
+    def test_one_prediction_per_winner(self, monkeypatch):
+        # lsslr and slr share one winner, so a trial of all three methods
+        # predicts the test block twice, and their records carry one PE.
+        calls = []
+
+        def spy(model, x):
+            calls.append(model)
+            return predict(model, x)
+
+        monkeypatch.setattr(experiments_mod, "predict", spy)
+        result = run_trials(sim1_experiment(50), n_trials=2, base_seed=3)
+        assert len(calls) == 2 * 2
+        assert result.records == records_by_separate_searches(
+            sim1_experiment(50), METHODS, 2, 3, None
+        )
+
     def test_one_fit_per_trial(self, monkeypatch):
         calls = []
 

@@ -60,6 +60,11 @@ class TestGrid:
         with pytest.raises(ParameterError, match="finite"):
             Grid((0.0,), (0.0,), (0.0, np.inf))
 
+    def test_negative_zero_gamma_is_stored_as_zero(self):
+        g = Grid((-0.0, 0.5), (np.float64(-0.0),), (-0.0,))
+        assert [np.copysign(1.0, v) for v in g.gamma1_values + g.gamma2_values] == [1.0] * 3
+        assert np.copysign(1.0, g.log10_lambda_values[0]) == -1.0
+
     @pytest.mark.parametrize("exponent", [309.0, 400.0, -324.0, -400.0])
     def test_rejects_exponent_whose_lambda_overflows_or_underflows(self, exponent):
         # 10**v must be a positive finite double: 10**309 is inf, 10**-324 is 0.
@@ -323,6 +328,53 @@ class TestAllCandidatesFailed:
         assert len(records) == 3
         assert all(r.report is None for r in records)
         assert all(r.error == "singular Hessian" for r in records)
+
+
+class TestOneOwnerPerDecision:
+    def test_a_failed_row_reads_the_same_through_every_fit(self, monkeypatch):
+        # The batch state alone turns a failed Newton row into an error
+        # text; every fit entry point and the search records report it.
+        data, weights = make_instance(12, 8, 2, seed=25)
+        params = TuningParams(0.5, 0.0, 0.1)
+
+        def fail_every_row(h, g):
+            return np.zeros_like(g), np.ones(g.shape[0], dtype=bool)
+
+        monkeypatch.setattr(objective_mod, "_batch_solve", fail_every_row)
+        state = fit_step1_batch(data, weights, 0.5, [0.1])
+        text = state.error(0)
+        assert text is not None
+        texts = []
+        for fit in (
+            lambda: objective_mod.newton_maximize(
+                np.zeros(3), data, weights, np.full(8, 0.5), params
+            ),
+            lambda: em_mod.fit_step1(data, weights, params),
+            lambda: fit_semisupervised(data, weights, params),
+            lambda: em_mod.fitted_model(data, state, 0, params),
+            lambda: state.checked_w(0),
+        ):
+            with pytest.raises(NumericalError) as info:
+                fit()
+            texts.append(str(info.value))
+        fits = em_mod.fit_lambda_batch(data, weights, 0.5, 0.0, [0.1, 1.0])
+        assert fits.models == [None, None]
+        texts += fits.errors
+        with pytest.raises(NumericalError) as info:
+            shared_search(data, weights, TINY).select("sslrcs")
+        texts += [r.error for r in info.value.candidates]
+        assert texts == [text] * len(texts)
+
+    def test_one_build_per_slice(self):
+        # A one-gamma1 grid of 0 gives sslrcs and the baselines the same
+        # rows, and so one set of records and one winner.
+        data, weights = make_instance(15, 10, 2, seed=27)
+        grid = Grid((-0.0,), (0.0,), (-1.0, 0.0))
+        search = shared_search(data, weights, grid)
+        sslrcs, slr = search.select("sslrcs"), search.select("slr")
+        assert sslrcs.best_model is slr.best_model
+        assert sslrcs.candidates == slr.candidates
+        assert [np.copysign(1.0, c.params.gamma1) for c in sslrcs.candidates] == [1.0, 1.0]
 
 
 def assert_same_selection(got, want):
