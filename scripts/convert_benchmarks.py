@@ -21,11 +21,12 @@ train/test sizes where the supplied row count allows it (otherwise the same
 proportions are used and a warning is printed, matching the loader's
 non-strict mode). Splits produced here are seeded reshuffles, not the
 original study's partition, so downstream numbers are comparable but not
-identical.
+identical. The files keep the raw feature scale; `sslogit replicate bench
+--standardize` z-scores them with the training split's statistics.
 
 Examples:
   python scripts/convert_benchmarks.py ionosphere --input ionosphere.data --output-dir data
-  python scripts/convert_benchmarks.py pima --input Pima.tr.csv Pima.te.csv --output-dir data --standardize
+  python scripts/convert_benchmarks.py pima --input Pima.tr.csv Pima.te.csv --output-dir data
   python scripts/convert_benchmarks.py g10 --input g10.csv --output-dir data
 """
 
@@ -149,8 +150,6 @@ def main(argv=None) -> int:
                         help="directory for <name>_train.csv and <name>_test.csv")
     parser.add_argument("--seed", type=int, default=0,
                         help="shuffle seed for the train/test split")
-    parser.add_argument("--standardize", action="store_true",
-                        help="z-score features using the training-split statistics")
     args = parser.parse_args(argv)
 
     spec = BENCHMARK_SPECS[args.dataset]
@@ -175,13 +174,6 @@ def main(argv=None) -> int:
     train_idx, test_idx = order[:n_train], order[n_train:]
     train_x, train_y = x[train_idx], y[train_idx]
     test_x, test_y = x[test_idx], y[test_idx]
-
-    if args.standardize:
-        mean = train_x.mean(axis=0)
-        scale = train_x.std(axis=0)
-        scale[scale == 0.0] = 1.0
-        train_x = (train_x - mean) / scale
-        test_x = (test_x - mean) / scale
 
     os.makedirs(args.output_dir, exist_ok=True)
     write_split(os.path.join(args.output_dir, f"{args.dataset}_train.csv"), train_x, train_y)

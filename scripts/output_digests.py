@@ -88,6 +88,12 @@ COMMANDS = [
     _replicate("replicate-bench-synthetic", "bench", "--dataset", "synthetic",
                "--trials", "1", "--fractions", "10,20"),
     ("usage-unknown-method", ["select", "--labeled", "data/a2_lab.csv", "--methods", "svm"], []),
+    ("usage-fit-unknown-method", ["fit", "--labeled", "data/a2_lab.csv", "--method", "svm",
+                                  "--model-out", "out/model-svm.json"], ["out/model-svm.json"]),
+    ("usage-repeated-method", ["select", "--labeled", "data/a2_lab.csv", "--methods", "slr,SLR"],
+     []),
+    ("usage-bad-fraction", ["replicate", "bench", "--dataset", "pima", "--data-dir", "missing",
+                            "--fractions", "10,150"], []),
     ("usage-missing-flag", ["fit", "--labeled", "data/a2_lab.csv"], []),
     ("help", ["--help"], []),
     *((f"help-{c}", [c, "--help"], []) for c in ("select", "fit", "predict", "replicate")),

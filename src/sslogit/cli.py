@@ -28,6 +28,7 @@ from .experiments import (
     SIM2_CASES,
     BenchmarkExperiment,
     ShiftedSyntheticExperiment,
+    check_labeled_fraction,
     load_benchmark,
     prediction_error,
     run_trials,
@@ -43,7 +44,8 @@ from .ratios import (
     unit_weights,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, check_method, default_grid, shared_search
+from .select import METHODS, WEIGHTED_METHOD, Grid, check_method, check_methods
+from .select import default_grid, shared_search
 
 DATA_DIR_ENV = "SSLOGIT_DATA_DIR"
 MODEL_FORMAT = "sslogit-model"
@@ -157,12 +159,7 @@ def _add_ratio_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _split_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(check_method(m.strip()) for m in text.split(",") if m.strip())
-    if not methods:
-        raise ParameterError("no methods requested")
-    if len(set(methods)) != len(methods):
-        raise ParameterError(f"repeated method in {text!r}")
-    return methods
+    return check_methods([m.strip() for m in text.split(",") if m.strip()])
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +171,11 @@ def _load_user_data(
     args, methods: Sequence[str], test: Optional[str] = None
 ) -> tuple[SplitDataset, Optional[dict], RatioWeights]:
     """The user's CSVs, standardized if asked, with their standardization
-    and ratio weights. Only sslrcs reads the weights, so uLSIF runs only
-    when it is among the methods; otherwise the weights are ones. The
+    and ratio weights. Only WEIGHTED_METHOD reads the weights, so uLSIF runs
+    only when it is among the methods; otherwise the weights are ones. The
     ratio flags are checked before any file is read."""
     config = UlsifConfig(ratio_floor=args.ratio_floor, ratio_cap=args.ratio_cap)
-    weighted = "sslrcs" in methods
+    weighted = WEIGHTED_METHOD in methods
     labeled_x, labeled_y = read_csv(args.labeled, has_label=True)
     if np.unique(labeled_y).size < 2:
         raise DataError(f"{args.labeled}: labeled rows must include both classes")
@@ -401,9 +398,9 @@ def _replicate_tables(setting_label, settings, runs, methods) -> str:
             (f"PE {m}", [_fmt(r.summary(m).mean_pe_percent, ".3g") for r in runs])
         )
     for m in methods:
-        if m == "sslrcs":
+        if m == WEIGHTED_METHOD:
             rows.append(
-                ("gamma1 sslrcs", [_fmt(r.summary(m).mean_gamma1, ".2f") for r in runs])
+                (f"gamma1 {m}", [_fmt(r.summary(m).mean_gamma1, ".2f") for r in runs])
             )
         rows.append(
             (f"log10 lambda {m}", [_fmt(r.summary(m).mean_log10_lambda, ".2f") for r in runs])
@@ -453,13 +450,10 @@ def cmd_replicate(args) -> int:
             experiments.append((f"case={c}", sim2_experiment(c)))
     else:
         fractions = (
-            tuple(f / 100.0 for f in args.fractions)
+            tuple(check_labeled_fraction(f / 100.0) for f in args.fractions)
             if args.fractions is not None
             else BENCHMARK_FRACTIONS
         )
-        for f in fractions:
-            if not 0.0 < f < 1.0:
-                raise ParameterError(f"labeled fraction {f} out of (0, 1)")
         if args.dataset == "synthetic":
             for f in fractions:
                 experiments.append(
@@ -560,7 +554,8 @@ def _build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="fit a single model and save it as JSON")
     p_fit.add_argument("--labeled", required=True)
     p_fit.add_argument("--unlabeled", default=None)
-    p_fit.add_argument("--method", default="sslrcs", type=str.lower, choices=METHODS)
+    p_fit.add_argument("--method", default="sslrcs", type=check_method,
+                       metavar="{" + ",".join(METHODS) + "}")
     p_fit.add_argument("--gamma1", type=float, default=0.0)
     p_fit.add_argument("--gamma2", type=float, default=0.0,
                        help="accepted; has no effect")

@@ -4,6 +4,7 @@ Covers the two synthetic studies (a nonlinear 2-d problem with known
 sampling densities; three Gaussian class-conditional cases), the benchmark
 CSV protocol with repeated labeled/unlabeled splits, and a clearly labeled
 synthetic stand-in benchmark for environments without the original files.
+The benchmark experiments check their labeled fraction when they are built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .ratios import (
     weights_from_exact,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, check_method, shared_search
+from .select import METHODS, Grid, check_methods, shared_search
 from .select import grid_search  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 SIM1_N_LABELED = (25, 50, 100, 150, 200, 250)
@@ -212,6 +213,13 @@ BENCHMARK_SPECS = {
 BENCHMARK_FRACTIONS = (0.05, 0.10, 0.20, 0.30, 0.40, 0.50)
 
 
+def check_labeled_fraction(fraction: float) -> float:
+    """A study's labeled share of its training pool: ParameterError unless 0 < f < 1."""
+    if not 0.0 < fraction < 1.0:
+        raise ParameterError(f"labeled fraction {fraction} out of (0, 1)")
+    return fraction
+
+
 def load_benchmark(name: str, path, strict: bool = True):
     """Read <name>_train.csv and <name>_test.csv from a directory.
 
@@ -342,6 +350,9 @@ class BenchmarkExperiment:
     test_y: np.ndarray
     labeled_fraction: float
 
+    def __post_init__(self):
+        check_labeled_fraction(self.labeled_fraction)
+
     @property
     def name(self) -> str:
         return f"bench({self.dataset}, {round(100 * self.labeled_fraction)}%)"
@@ -371,6 +382,9 @@ class ShiftedSyntheticExperiment:
     """
 
     labeled_fraction: float = 0.2
+
+    def __post_init__(self):
+        check_labeled_fraction(self.labeled_fraction)
 
     @property
     def name(self) -> str:
@@ -470,7 +484,7 @@ def run_trials(
     block is predicted once per distinct winner: lsslr and slr share one."""
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
-    methods = tuple(check_method(m) for m in methods)
+    methods = check_methods(methods)
     records: list[TrialRecord] = []
 
     def failure(i, seed, m, exc):

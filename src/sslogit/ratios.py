@@ -6,7 +6,8 @@ form; otherwise it is estimated by a least-squares importance fitting
 procedure with Gaussian kernel centers and closed-form leave-one-out
 selection of the kernel width and ridge amount. Its systems are solved by
 Cholesky factors, and its long sums run in numpy's own loops, so the
-weights carry the same bytes at any BLAS thread count.
+weights carry the same bytes at any BLAS thread count. ulsif_fit checks
+its clip range by UlsifConfig's rule; exact_ratio keeps its own range.
 """
 
 from __future__ import annotations
@@ -292,6 +293,7 @@ def ulsif_fit(
         raise ParameterError("candidate_sigmas and candidate_rhos must be nonempty")
     if min(sigmas) <= 0 or min(rhos) <= 0:
         raise ParameterError("kernel widths and ridge values must be positive")
+    UlsifConfig(ratio_floor, ratio_cap)
 
     rng = make_rng(seed)
     b = min(DEFAULT_MAX_CENTERS, x_nu.shape[0])

@@ -11,7 +11,7 @@ gamma1 = 0 rows, whose weights r^0 are exactly ones, so one batch serves
 all three methods (shared_search) and each picks its winner from its own
 slice of rows, built once whichever method asks. A failed fit keeps the
 batch's error text, and only a slice's winner becomes a FittedModel.
-check_method checks every method name the package is given.
+check_method checks every method name, and check_methods every method list.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .objective import TuningParams, _NewtonBatchState, weighted_rows
 from .ratios import RatioWeights
 
 METHODS = ("sslrcs", "lsslr", "slr")
+WEIGHTED_METHOD = "sslrcs"  # the one method that reads the ratio weights
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,16 @@ def check_method(method: str) -> str:
     if meth not in METHODS:
         raise ParameterError(f"unknown method {method!r}; the method must be one of {METHODS}")
     return meth
+
+
+def check_methods(methods: Sequence[str]) -> tuple[str, ...]:
+    """Each name through check_method, in order; ParameterError if none or a repeat."""
+    meths = tuple(check_method(m) for m in methods)
+    if not meths:
+        raise ParameterError("no methods requested")
+    if len(set(meths)) != len(meths):
+        raise ParameterError(f"repeated method in {','.join(map(str, methods))!r}")
+    return meths
 
 
 @dataclass(frozen=True)
@@ -181,14 +192,12 @@ def shared_search(
     read the grid's own gamma1 = 0 rows when it has them. No method fits
     to the unlabeled block; it enters only through the ratio weights.
     """
-    meths = [check_method(m) for m in methods]
-    if not meths:
-        raise ParameterError("methods must be nonempty")
+    meths = check_methods(methods)
     g = grid or default_grid()
     lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
-    gammas = list(g.gamma1_values) if "sslrcs" in meths else []
-    rows = {"sslrcs": slice(0, len(gammas) * lams.size)}
-    if "lsslr" in meths or "slr" in meths:
+    gammas = list(g.gamma1_values) if WEIGHTED_METHOD in meths else []
+    rows = {WEIGHTED_METHOD: slice(0, len(gammas) * lams.size)}
+    if any(m != WEIGHTED_METHOD for m in meths):
         if 0.0 not in gammas:
             gammas.append(0.0)
         z = gammas.index(0.0) * lams.size

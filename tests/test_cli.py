@@ -537,9 +537,35 @@ class TestExitCodes:
             "select", "--labeled", str(workdir / "labeled.csv"), "--methods", "svm",
         ]) == 1
         assert capsys.readouterr().err == f"error: {search.value}\n"
+        assert main([
+            "fit", "--labeled", str(workdir / "labeled.csv"), "--method", "svm",
+            "--model-out", str(workdir / "model.json"),
+        ]) == 1
+        assert capsys.readouterr() == ("", f"error: {search.value}\n")
+        assert not (workdir / "model.json").exists()
         assert str(search.value) == str(trials.value)
         assert "unknown method 'svm'" in str(search.value)
         assert "must be one of" in str(search.value)
+
+    @pytest.mark.parametrize(
+        "methods, text, message",
+        [((), ",", "no methods requested"),
+         (("slr", "SLR"), "slr,SLR", "repeated method in 'slr,SLR'")],
+        ids=["empty", "repeated"],
+    )
+    def test_method_list_message_is_the_same_everywhere(
+        self, workdir, capsys, methods, text, message
+    ):
+        data = sslogit.SplitDataset(np.zeros((2, 1)), np.array([0, 1]), np.zeros((0, 1)))
+        with pytest.raises(ParameterError) as search:
+            sslogit.shared_search(data, sslogit.unit_weights(data), methods=methods)
+        with pytest.raises(ParameterError) as trials:
+            sslogit.run_trials(sslogit.sim1_experiment(25), methods=methods)
+        assert main([
+            "select", "--labeled", str(workdir / "labeled.csv"), "--methods", text,
+        ]) == 1
+        assert str(search.value) == str(trials.value) == message
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_repeated_method_name(self, workdir, capsys):
         code = main([

@@ -17,6 +17,7 @@ from sslogit.errors import DataError, NumericalError, ParameterError, SslogitErr
 from sslogit.experiments import (
     BENCHMARK_FRACTIONS,
     BENCHMARK_SPECS,
+    BenchmarkExperiment,
     ShiftedSyntheticExperiment,
     Sim1Config,
     Sim2Config,
@@ -329,6 +330,17 @@ class TestShiftedSyntheticExperiment:
     def test_name(self):
         assert ShiftedSyntheticExperiment().name == "bench(synthetic, 20%)"
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("kind", ["synthetic", "benchmark"])
+    def test_fraction_outside_the_open_unit_interval_is_rejected(self, kind, fraction):
+        # f = 0 would label one point (max(1, ...)), and f = 1 leaves no unlabeled rows.
+        x, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+        with pytest.raises(ParameterError, match=r"out of \(0, 1\)"):
+            if kind == "synthetic":
+                ShiftedSyntheticExperiment(labeled_fraction=fraction)
+            else:
+                BenchmarkExperiment("toy", x, y, x, y, labeled_fraction=fraction)
+
 
 class TestPredictionError:
     def test_hand_values(self):
@@ -370,6 +382,10 @@ class TestRunTrials:
     def test_unknown_method_and_bad_count(self):
         with pytest.raises(ParameterError, match="unknown method"):
             run_trials(_ToyExperiment(), methods=("svm",), n_trials=1)
+        with pytest.raises(ParameterError, match="no methods requested"):
+            run_trials(_ToyExperiment(), methods=(), n_trials=1)
+        with pytest.raises(ParameterError, match="repeated method in 'slr,SLR'"):
+            run_trials(_ToyExperiment(), methods=("slr", "SLR"), n_trials=1)
         with pytest.raises(ParameterError, match="positive"):
             run_trials(_ToyExperiment(), n_trials=0)
 

@@ -325,8 +325,13 @@ class TestUlsifConfig:
         ],
     )
     def test_rejects_an_empty_or_nonpositive_range(self, floor, cap, name):
-        with pytest.raises(ParameterError, match=name):
+        with pytest.raises(ParameterError, match=name) as config:
             UlsifConfig(ratio_floor=floor, ratio_cap=cap)
+        # ulsif_fit's own clip range is held to the same rule, in the same words.
+        x = make_rng(0).normal(size=(20, 1))
+        with pytest.raises(ParameterError) as fit:
+            ulsif_fit(x, x, [1.0], [0.1], seed=0, ratio_floor=floor, ratio_cap=cap)
+        assert str(fit.value) == str(config.value)
 
     def test_accepts_a_one_point_range_and_an_infinite_cap(self):
         UlsifConfig(ratio_floor=2.0, ratio_cap=2.0)
