@@ -85,6 +85,7 @@ COMMANDS = [
     _replicate("replicate-sim1-grid", "sim1", "--n", "25", "--trials", "2",
                "--grid-gamma1=0,0.5,1", "--grid-log10-lambda=-2,0"),
     _replicate("replicate-sim2", "sim2", "--trials", "1"),
+    _replicate("replicate-sim2-baselines", "sim2", "--methods", "slr,lsslr", "--trials", "2"),
     _replicate("replicate-bench-synthetic", "bench", "--dataset", "synthetic",
                "--trials", "1", "--fractions", "10,20"),
     ("usage-unknown-method", ["select", "--labeled", "data/a2_lab.csv", "--methods", "svm"], []),

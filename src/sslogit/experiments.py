@@ -24,10 +24,11 @@ from .errors import DataError, ParameterError, SslogitError
 from .ratios import (
     DiagGaussian,
     RatioWeights,
+    unit_weights,
     weights_from_exact,
     weights_from_ulsif,
 )
-from .select import METHODS, Grid, check_methods, shared_search
+from .select import METHODS, WEIGHTED_METHOD, Grid, check_methods, shared_search
 from .select import grid_search  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 SIM1_N_LABELED = (25, 50, 100, 150, 200, 250)
@@ -303,9 +304,19 @@ def prediction_error(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 
 class Experiment(Protocol):
+    """A trial source. The built-in experiments also split make_trial into
+    make_data and make_weights, so that run_trials can skip the weights
+    when no requested method reads them."""
+
     name: str
 
     def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]: ...
+
+
+def _make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
+    """The trial's data, then its ratio weights."""
+    data = self.make_data(seed)
+    return data, self.make_weights(data, seed)
 
 
 @dataclass(frozen=True)
@@ -318,10 +329,13 @@ class Sim1Experiment:
     def name(self) -> str:
         return f"sim1(n={self.config.n_labeled})"
 
-    def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
-        data = gen_sim1(self.config, seed)
-        weights = weights_from_exact(sim1_labeled_density(), sim1_unlabeled_density(), data)
-        return data, weights
+    def make_data(self, seed: Seed) -> SplitDataset:
+        return gen_sim1(self.config, seed)
+
+    def make_weights(self, data: SplitDataset, seed: Seed) -> RatioWeights:
+        return weights_from_exact(sim1_labeled_density(), sim1_unlabeled_density(), data)
+
+    make_trial = _make_trial
 
 
 @dataclass(frozen=True)
@@ -334,9 +348,13 @@ class Sim2Experiment:
     def name(self) -> str:
         return f"sim2(case={self.config.case})"
 
-    def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
-        data = gen_sim2(self.config, seed)
-        return data, weights_from_ulsif(data, seed=seed)
+    def make_data(self, seed: Seed) -> SplitDataset:
+        return gen_sim2(self.config, seed)
+
+    def make_weights(self, data: SplitDataset, seed: Seed) -> RatioWeights:
+        return weights_from_ulsif(data, seed=seed)
+
+    make_trial = _make_trial
 
 
 @dataclass(frozen=True)
@@ -357,12 +375,16 @@ class BenchmarkExperiment:
     def name(self) -> str:
         return f"bench({self.dataset}, {round(100 * self.labeled_fraction)}%)"
 
-    def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
+    def make_data(self, seed: Seed) -> SplitDataset:
         split = split_labeled_unlabeled(
             self.train_x, self.train_y, self.labeled_fraction, seed
         )
-        data = replace(split, test_x=self.test_x, test_y=self.test_y)
-        return data, weights_from_ulsif(data, seed=seed)
+        return replace(split, test_x=self.test_x, test_y=self.test_y)
+
+    def make_weights(self, data: SplitDataset, seed: Seed) -> RatioWeights:
+        return weights_from_ulsif(data, seed=seed)
+
+    make_trial = _make_trial
 
 
 SHIFT_TILT = 2.0
@@ -390,7 +412,7 @@ class ShiftedSyntheticExperiment:
     def name(self) -> str:
         return f"bench(synthetic, {round(100 * self.labeled_fraction)}%)"
 
-    def make_trial(self, seed: Seed) -> tuple[SplitDataset, RatioWeights]:
+    def make_data(self, seed: Seed) -> SplitDataset:
         train_x, train_y, test_x, test_y = gen_shifted_benchmark(seed=derive_seed(seed, 10))
         n_train, n_test = train_x.shape[0], test_x.shape[0]
         pool_x = np.vstack([train_x, test_x])
@@ -405,14 +427,18 @@ class ShiftedSyntheticExperiment:
         mask[labeled_idx] = True
         rest = rng.permutation(np.flatnonzero(~mask))
         test_idx, unlabeled_idx = rest[:n_test], rest[n_test:]
-        data = SplitDataset(
+        return SplitDataset(
             labeled_x=pool_x[mask],
             labeled_y=pool_y[mask],
             unlabeled_x=pool_x[unlabeled_idx],
             test_x=pool_x[test_idx],
             test_y=pool_y[test_idx],
         )
-        return data, weights_from_ulsif(data, seed=seed)
+
+    def make_weights(self, data: SplitDataset, seed: Seed) -> RatioWeights:
+        return weights_from_ulsif(data, seed=seed)
+
+    make_trial = _make_trial
 
 
 def sim1_experiment(n_labeled: int) -> Sim1Experiment:
@@ -481,10 +507,13 @@ def run_trials(
     """Trial i uses seed base_seed + i; per-trial failures are recorded and
     excluded from the means. One shared_search per trial serves every
     method; a method whose rows all fail records its own error. The test
-    block is predicted once per distinct winner: lsslr and slr share one."""
+    block is predicted once per distinct winner: lsslr and slr share one.
+    Without sslrcs no method reads the ratio weights, so an experiment with
+    make_data gets unit weights instead of fitting them."""
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
     methods = check_methods(methods)
+    make_data = None if WEIGHTED_METHOD in methods else getattr(experiment, "make_data", None)
     records: list[TrialRecord] = []
 
     def failure(i, seed, m, exc):
@@ -493,7 +522,11 @@ def run_trials(
     for i in range(n_trials):
         seed = base_seed + i
         try:
-            data, weights = experiment.make_trial(seed)
+            if make_data is None:
+                data, weights = experiment.make_trial(seed)
+            else:
+                data = make_data(seed)
+                weights = unit_weights(data)
         except SslogitError as exc:
             records.extend(failure(i, seed, m, exc) for m in methods)
             continue

@@ -9,8 +9,11 @@ weights alone.
 
 One kernel, gic_column, scores B coefficient rows in one call: they share the
 labeled block, and each has its own ridge value and may have its own
-weights. It reads the posterior, score, R and NLL from the Newton kernel in
-objective and adds only Q and the trace; the single-model functions below
+weights. It reads each row's log-likelihood, score, Hessian and score
+outer-product sum from the Newton batch that fitted the rows, or builds
+them with the Newton kernel's own functions (objective._curvature), and
+adds the ridge term of Q, the scaling by n1 and the trace: one Cholesky
+check and one solve over the whole stack. The single-model functions below
 are batch-of-one wrappers around it.
 """
 
@@ -19,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import SplitDataset
 from .data import build_design  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .em import FittedModel
 from .errors import NumericalError
 from .objective import TuningParams, power_weights, row_blocks
-from .objective import _batch_hessian, _batch_loglik, _batch_posterior, _batch_score
+from .objective import _NewtonBatchState, _curvature, _loglik_posterior, _pair_products
 from .ratios import RatioWeights
 
 
@@ -68,21 +70,36 @@ class GicColumn:
 
 
 def _trace_terms(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """tr(R_b^{-1} Q_b) per row by a Cholesky solve, NaN where R_b is not
-    positive definite even after a 1e-10 diagonal bump.
+    """tr(R_b^{-1} Q_b) per row, NaN where R_b is not positive definite
+    even after a 1e-10 diagonal bump.
 
-    Calls the LAPACK routines behind scipy's cho_factor / cho_solve
-    directly, so each row is solved exactly as a single-model call would.
+    One Cholesky factorisation checks the whole stack and one solve gives
+    every R_b^{-1} Q_b. numpy factors and solves each matrix of a stack on
+    its own, so a row's value does not depend on its stack. Only when some
+    R_b is not positive definite does each row go alone, through the same
+    two calls, bumped where it needs it.
     """
+    try:
+        return _checked_traces(q, r)
+    except np.linalg.LinAlgError:
+        pass
     out = np.full(r.shape[0], np.nan)
     bump = 1e-10 * np.eye(r.shape[-1])
     for b in range(r.shape[0]):
-        factor, info = dpotrf(r[b], lower=0, clean=0)
-        if info > 0:
-            factor, info = dpotrf(r[b] + bump, lower=0, clean=0)
-        if info == 0:
-            out[b] = dpotrs(factor, q[b], lower=0)[0].trace()
+        for r_b in (r[b : b + 1], r[b : b + 1] + bump):
+            try:
+                out[b] = _checked_traces(q[b : b + 1], r_b)[0]
+                break
+            except np.linalg.LinAlgError:
+                pass
     return out
+
+
+def _checked_traces(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """tr(R_b^{-1} Q_b) for a stack; LinAlgError unless every R_b is
+    positive definite."""
+    np.linalg.cholesky(r)
+    return np.trace(np.linalg.solve(r, q), axis1=1, axis2=2)
 
 
 def gic_column(
@@ -90,37 +107,42 @@ def gic_column(
     data: SplitDataset,
     eta: np.ndarray,
     lams: np.ndarray,
+    fit: _NewtonBatchState | None = None,
 ) -> GicColumn:
     """Q, R, weighted NLL and trace term for every row of w (B, d).
 
     All rows share the labeled block of data; eta holds the per-point
     weights, shared (n1,) or one row each (B, n1), and lams each row's
-    ridge value. The posterior, the score, R (minus
-    the Hessian over n1) and the NLL are the Newton kernel's own pieces,
-    taken in the kernel's row blocks, so each row equals its single-model
-    score bit for bit.
+    ridge value. fit is the Newton state that produced w on these rows,
+    weights and ridge values, when the caller has it: its log-likelihood,
+    score, Hessian and score outer-product sum are then read, not
+    recomputed. Either way they are the Newton kernel's own pieces
+    (objective._curvature), so each row equals its single-model score bit
+    for bit.
     """
-    x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
-    lams = np.asarray(lams, dtype=np.float64)
-    eta = np.broadcast_to(eta, (w.shape[0], x_lab.shape[0]))
-    blocks = [
-        _gic_block(w[b], x_lab, y, eta[b], lams[b], data.n_labeled)
-        for b in row_blocks(w.shape[0], x_lab)
-    ]
-    return GicColumn(*(np.concatenate(pieces) for pieces in zip(*blocks)))
-
-
-def _gic_block(w, x_lab, y, eta, lams, n1):
-    """(Q, R, weighted NLL, trace term) for one row block of gic_column."""
-    pi = _batch_posterior(w, x_lab)
-    score = _batch_score(pi, x_lab, eta, y)
-    u = eta * (y - pi)  # per-point score weight on the design row
-    q = (x_lab.T[None] * (u**2)[:, None, :]) @ x_lab
+    lams, n1 = np.asarray(lams, dtype=np.float64), data.n_labeled
+    if fit is None:
+        loglik, score, hessian, score_gram = _fit_pieces(w, data, eta, lams)
+    else:
+        loglik, score, hessian, score_gram = fit.loglik, fit.score, fit.hessian, fit.score_gram
+    q = score_gram.copy()
     q[:, 1:] -= lams[:, None, None] * (w[:, 1:, None] * score[:, None, :])
     q /= n1
-    r = -_batch_hessian(pi, x_lab, eta, lams, n1) / n1
-    nll = -2.0 * _batch_loglik(w, x_lab, eta, y)
-    return q, r, nll, _trace_terms(q, r)
+    r = -hessian / n1
+    return GicColumn(q, r, -2.0 * loglik, _trace_terms(q, r))
+
+
+def _fit_pieces(w, data, eta, lams):
+    """Log-likelihood, score, Hessian and score outer-product sum of the
+    rows w, built as the Newton kernel builds them, in its row blocks."""
+    x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
+    eta = np.broadcast_to(eta, (w.shape[0], x_lab.shape[0]))
+    xx = _pair_products(x_lab)
+    blocks = []
+    for b in row_blocks(w.shape[0], x_lab):
+        loglik, pi = _loglik_posterior(w[b], x_lab, eta[b], y)
+        blocks.append((loglik, *_curvature(pi, x_lab, xx, eta[b], y, lams[b], data.n_labeled)))
+    return tuple(np.concatenate(pieces) for pieces in zip(*blocks))
 
 
 def gic_matrices(

@@ -10,10 +10,19 @@ The objective, its gradient and Hessian, and the damped Newton loop are
 written once, for a batch of B coefficient vectors that share the design
 rows and differ in ridge value, row weights and targets. No row's value
 depends on its batch (see _rowwise): a fit run alone equals its row of a
-whole grid bit for bit, and gic reads its criterion pieces from here. A
-batch runs in row blocks of bounded size (see row_blocks). The batch's
-state alone decides that a failed row has no fit and why
-(_NewtonBatchState.error); every caller reads that text from it.
+whole grid bit for bit. A batch runs in row blocks of bounded size (see
+row_blocks). The batch's state alone decides that a failed row has no fit
+and why (_NewtonBatchState.error); every caller reads that text from it.
+
+Each evaluation takes the softplus and the posterior from one exp of the
+linear predictor (_softplus_posterior). A Newton iterate keeps the
+posterior and the log-likelihood of the evaluation that accepted it, so no
+step recomputes them. Weighted Gram matrices, the Hessian and the score
+outer products, are one row-wise product against the design's pair
+products (_gram). At the final iterate the posterior is reduced to what the
+criterion needs (_curvature) and dropped; gic.gic_column reads those pieces
+from the state, or builds them with the same functions for a model scored
+alone.
 """
 
 from __future__ import annotations
@@ -115,6 +124,13 @@ class _NewtonBatchState:
     iterations: np.ndarray  # (B,) int
     grad_norm: np.ndarray  # (B,)
     status: list[str]
+    # At the final w, from its posterior (see _curvature), for
+    # gic.gic_column: the unpenalized log-likelihood, the score, the
+    # Hessian and the score outer-product sum.
+    loglik: np.ndarray  # (B,)
+    score: np.ndarray  # (B, d)
+    hessian: np.ndarray  # (B, d, d)
+    score_gram: np.ndarray  # (B, d, d)
 
     def error(self, i: int) -> str | None:
         """Why row i has no fit, or None when it has one."""
@@ -157,19 +173,48 @@ def _rowwise(a, m):
     return (a[:, None, :] @ m)[:, 0]
 
 
+def _softplus_posterior(z):
+    """log(1 + e^z) and expit(z), elementwise, from one e = exp(-|z|).
+
+    softplus = max(z, 0) + log1p(e), and expit = 1/(1 + e) for z >= 0 and
+    e/(1 + e) below: both stable at any z (Maechler, "Accurately computing
+    log(1 - exp(-|a|))", Rmpfr vignette, 2012). One vectorised exp replaces
+    np.logaddexp's scalar exp and log1p, and expit's second pass over z.
+    Exact at +-0, +-inf and NaN, within a few ulp of np.logaddexp(0, z)
+    and scipy's expit elsewhere, and the same bits at any array position.
+    """
+    e = np.exp(-np.abs(z))
+    softplus = np.maximum(z, 0.0)
+    softplus += np.log1p(e)
+    pi = np.where(z >= 0.0, 1.0, e)
+    pi /= 1.0 + e
+    return softplus, pi
+
+
+def _loglik_posterior(w, x, v, yt):
+    """Weighted, unpenalized log-likelihood per row and the posterior
+    (B, n), from one pass over the linear predictor."""
+    z = _rowwise(w, x.T)
+    softplus, pi = _softplus_posterior(z)
+    return ((yt * z - softplus) * v).sum(axis=1), pi
+
+
+def _penalized(loglik, w, lams, n1):
+    """The objective from the unpenalized log-likelihood of the rows w."""
+    return loglik - 0.5 * n1 * lams * (w[:, 1:] ** 2).sum(axis=1)
+
+
 def _batch_loglik(w, x, v, yt):
     """Weighted, unpenalized log-likelihood per row."""
-    z = _rowwise(w, x.T)
-    return ((yt * z - np.logaddexp(0.0, z)) * v).sum(axis=1)
+    return _loglik_posterior(w, x, v, yt)[0]
 
 
 def _batch_objective(w, x, v, yt, lams, n1):
-    pen = (w[:, 1:] ** 2).sum(axis=1)
-    return _batch_loglik(w, x, v, yt) - 0.5 * n1 * lams * pen
+    return _penalized(_batch_loglik(w, x, v, yt), w, lams, n1)
 
 
 def _batch_posterior(w, x):
-    return expit(_rowwise(w, x.T))
+    return _softplus_posterior(_rowwise(w, x.T))[1]
 
 
 def _batch_score(pi, x, v, yt):
@@ -177,19 +222,66 @@ def _batch_score(pi, x, v, yt):
     return _rowwise((yt - pi) * v, x)
 
 
-def _batch_gradient(pi, w, x, v, yt, lams, n1):
-    g = _batch_score(pi, x, v, yt)
+def _penalized_gradient(score, w, lams, n1):
+    g = score.copy()
     g[:, 1:] -= (n1 * lams)[:, None] * w[:, 1:]
     return g
 
 
-def _batch_hessian(pi, x, v, lams, n1):
-    d = v * pi * (1.0 - pi)
-    tmp = d[:, :, None] * x[None, :, :]
-    h = -np.matmul(tmp.transpose(0, 2, 1), x)
-    idx = np.arange(1, x.shape[1])
+def _batch_gradient(pi, w, x, v, yt, lams, n1):
+    return _penalized_gradient(_batch_score(pi, x, v, yt), w, lams, n1)
+
+
+_UPPER: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _upper(d):
+    """np.triu_indices(d), built once per d: it costs more than a small _gram."""
+    if d not in _UPPER:
+        _UPPER[d] = np.triu_indices(d)
+    return _UPPER[d]
+
+
+def _pair_products(x):
+    """x_ij * x_ik for every j <= k: (n, d(d+1)/2), the design side of
+    _gram, built once per batch."""
+    j, k = _upper(x.shape[1])
+    return x[:, j] * x[:, k]
+
+
+def _gram(c, xx, d):
+    """sum_i c_bi x_i x_i^T per row b of c (B, n), from xx = _pair_products(x).
+
+    One row-wise product gives the upper triangle, copied to the lower
+    one, so no (B, n, d) temporary is built and each result is exactly
+    symmetric.
+    """
+    j, k = _upper(d)
+    upper = _rowwise(c, xx)
+    out = np.empty((c.shape[0], d, d))
+    out[:, j, k] = upper
+    out[:, k, j] = upper
+    return out
+
+
+def _batch_hessian(pi, x, v, lams, n1, xx=None):
+    """Hessian per row at the posterior pi; xx is _pair_products(x), when
+    the caller holds it."""
+    d = x.shape[1]
+    h = _gram(-(v * pi * (1.0 - pi)), _pair_products(x) if xx is None else xx, d)
+    idx = np.arange(1, d)
     h[:, idx, idx] -= (n1 * lams)[:, None]
-    return 0.5 * (h + h.transpose(0, 2, 1))
+    return h
+
+
+def _curvature(pi, x, xx, v, yt, lams, n1):
+    """Score, Hessian and score outer-product sum
+    sum_i (v_i (yt_i - pi_i))^2 x_i x_i^T per row at the posterior pi (B, n):
+    what the criterion needs of a fit besides its log-likelihood, so that
+    the posterior can be dropped once they are built."""
+    score = _batch_score(pi, x, v, yt)
+    score_gram = _gram((v * (yt - pi)) ** 2, xx, x.shape[1])
+    return score, _batch_hessian(pi, x, v, lams, n1, xx), score_gram
 
 
 def _batch_solve(h, g):
@@ -219,17 +311,23 @@ def _line_search(x, v, yt, lams, n1, w, obj, delta):
 
     Per row, k is the first of 0, 1, ..., MAX_HALVINGS at which the
     objective is finite and strictly above obj. Returns the stepped rows,
-    their objectives and the mask of rows that found such a k; a row that
-    found none holds k = MAX_HALVINGS. The halvings are tried in chunks of
-    doubling length, 1 | 2-3 | 4-7 | ..., each chunk one objective call per
-    row block of (row, k) candidates: round-off-level rows use all of
-    them, and one call per halving costs more than the rows it carries.
-    Scaling by 2^-k is exact and objective rows do not depend on their
-    batch, so this is halving one k at a time, bit for bit.
+    their objectives, unpenalized log-likelihoods and posteriors, and the
+    mask of rows that found such a k; a row that found none holds
+    k = MAX_HALVINGS, and its log-likelihood and posterior are not
+    meaningful. The full step keeps its own log-likelihoods and
+    posteriors. The halvings are tried in chunks of doubling length,
+    1 | 2-3 | 4-7 | ..., each chunk one objective call per row block of
+    (row, k) candidates: round-off-level rows use all of them, and one call
+    per halving costs more than the rows it carries. The rows a chunk
+    accepts are evaluated once more for their posteriors. Scaling by 2^-k
+    is exact and no row depends on its batch, so this is halving one k at
+    a time, bit for bit.
     """
     w_try = w - delta
-    obj_try = _batch_objective(w_try, x, v, yt, lams, n1)
+    loglik_try, pi_try = _loglik_posterior(w_try, x, v, yt)
+    obj_try = _penalized(loglik_try, w_try, lams, n1)
     need = ~(np.isfinite(obj_try) & (obj_try > obj))
+    halved = need.copy()
     lo = 1
     while lo <= MAX_HALVINGS and need.any():
         ks = np.arange(lo, min(2 * lo, MAX_HALVINGS + 1))
@@ -247,7 +345,12 @@ def _line_search(x, v, yt, lams, n1, w, obj, delta):
         w_try[idx] = cand[pick]
         obj_try[idx] = cand_obj[pick]
         need[idx] = ~found
-    return w_try, obj_try, ~need
+    halved &= ~need
+    if halved.any():
+        loglik_try[halved], pi_try[halved] = _loglik_posterior(
+            w_try[halved], x, v[halved], yt[halved]
+        )
+    return w_try, obj_try, loglik_try, pi_try, ~need
 
 
 def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
@@ -260,45 +363,50 @@ def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     small gradient, sub-tolerance improvement, exhausted line search, or a
     solver failure.
     """
-    n_batch = w0.shape[0]
-    v = np.broadcast_to(v, (n_batch, x.shape[0]))
-    yt = np.broadcast_to(yt, (n_batch, x.shape[0]))
+    n_batch, n = w0.shape[0], x.shape[0]
+    v = np.broadcast_to(v, (n_batch, n))
+    yt = np.broadcast_to(yt, (n_batch, n))
+    xx = _pair_products(x)
     blocks = [
-        _newton_block(x, v[b], yt[b], lams[b], n1, w0[b]) for b in row_blocks(n_batch, x)
+        _newton_block(x, xx, v[b], yt[b], lams[b], n1, w0[b]) for b in row_blocks(n_batch, x)
     ]
+    arrays = ("w", "objective", "iterations", "grad_norm", "loglik", "score", "hessian",
+              "score_gram")
     return _NewtonBatchState(
-        w=np.concatenate([s.w for s in blocks]),
-        objective=np.concatenate([s.objective for s in blocks]),
-        iterations=np.concatenate([s.iterations for s in blocks]),
-        grad_norm=np.concatenate([s.grad_norm for s in blocks]),
+        **{name: np.concatenate([getattr(s, name) for s in blocks]) for name in arrays},
         status=[status for s in blocks for status in s.status],
     )
 
 
-def _newton_block(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
-    """_newton_batch on one block of rows."""
+def _newton_block(x, xx, v, yt, lams, n1, w0) -> _NewtonBatchState:
+    """_newton_batch on one block of rows, xx = _pair_products(x).
+
+    Each iterate's posterior comes from the objective evaluation that
+    accepted it, so no step recomputes it, and it is dropped once the
+    final _curvature is built from it.
+    """
     n_batch = w0.shape[0]
     w = w0.copy()
-    obj = _batch_objective(w, x, v, yt, lams, n1)
+    loglik, pi = _loglik_posterior(w, x, v, yt)
+    obj = _penalized(loglik, w, lams, n1)
     iters = np.zeros(n_batch, dtype=np.int64)
     failed = np.zeros(n_batch, dtype=bool)
     active = np.arange(n_batch)
     for _ in range(MAX_ITERS):
         if active.size == 0:
             break
-        pi = _batch_posterior(w[active], x)
-        g = _batch_gradient(pi, w[active], x, v[active], yt[active], lams[active], n1)
+        g = _batch_gradient(pi[active], w[active], x, v[active], yt[active], lams[active], n1)
         small = np.linalg.norm(g, axis=1) <= GRAD_TOL
         active = active[~small]
         if active.size == 0:
             break
         g = g[~small]
-        h = _batch_hessian(pi[~small], x, v[active], lams[active], n1)
+        h = _batch_hessian(pi[active], x, v[active], lams[active], n1, xx)
         delta, solve_failed = _batch_solve(h, g)
         failed[active[solve_failed]] = True
         active = active[~solve_failed]
         delta = delta[~solve_failed]
-        w_try, obj_try, accepted = _line_search(
+        w_try, obj_try, loglik_try, pi_try, accepted = _line_search(
             x, v[active], yt[active], lams[active], n1, w[active], obj[active], delta
         )
         iters[active] += 1
@@ -306,10 +414,12 @@ def _newton_block(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
         upd = active[accepted]
         w[upd] = w_try[accepted]
         obj[upd] = obj_try[accepted]
+        loglik[upd] = loglik_try[accepted]
+        pi[upd] = pi_try[accepted]
         active = active[accepted & (improvement > OBJ_TOL)]
     hit_max = np.isin(np.arange(n_batch), active)
-    g = _batch_gradient(_batch_posterior(w, x), w, x, v, yt, lams, n1)
-    grad_norm = np.linalg.norm(g, axis=1)
+    score, hessian, score_gram = _curvature(pi, x, xx, v, yt, lams, n1)
+    grad_norm = np.linalg.norm(_penalized_gradient(score, w, lams, n1), axis=1)
     status = []
     for i in range(n_batch):
         if failed[i]:
@@ -320,7 +430,9 @@ def _newton_block(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
             status.append("max-iterations")
         else:
             status.append("stalled")
-    return _NewtonBatchState(w, obj, iters, grad_norm, status)
+    return _NewtonBatchState(
+        w, obj, iters, grad_norm, status, loglik, score, hessian, score_gram
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,18 @@ def ulsif_fit(
     the winner's H and h kept from the scan, and are clipped at zero.
     NumericalError if that final system is not positive definite.
     """
+    return _ulsif_fit(
+        numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
+        seed, ratio_floor, ratio_cap,
+    )[0]
+
+
+def _ulsif_fit(
+    numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
+    seed, ratio_floor, ratio_cap,
+) -> tuple[UlsifModel, np.ndarray, np.ndarray]:
+    """ulsif_fit, also returning the squared distances of the numerator
+    and the denominator samples to the centers, for _ratio_at."""
     x_nu = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
     x_de = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
     if x_nu.shape[0] == 0 or x_de.shape[0] == 0:
@@ -323,7 +335,7 @@ def ulsif_fit(
             f"uLSIF system at sigma={sigma:g}, rho={rho:g} is not positive definite"
         )
     np.maximum(alpha, 0.0, out=alpha)
-    return UlsifModel(
+    model = UlsifModel(
         centers=centers,
         sigma=sigma,
         rho=rho,
@@ -332,12 +344,18 @@ def ulsif_fit(
         ratio_floor=ratio_floor,
         ratio_cap=ratio_cap,
     )
+    return model, sq_nu, sq_de
 
 
 def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the fitted ratio at new points, clipped like exact ratios."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    raw = _kernel(_sq_dist(x, model.centers), model.sigma) @ model.alpha
+    return _ratio_at(model, _sq_dist(x, model.centers))
+
+
+def _ratio_at(model: UlsifModel, sq: np.ndarray) -> np.ndarray:
+    """The clipped ratio at points with squared center distances sq."""
+    raw = _kernel(sq, model.sigma) @ model.alpha
     return np.clip(raw, model.ratio_floor, model.ratio_cap)
 
 
@@ -365,17 +383,14 @@ def weights_from_ulsif(
     scale = median_pairwise_distance(pooled)
     sigmas = [f * scale for f in DEFAULT_SIGMA_FACTORS]
 
-    r_model = ulsif_fit(
-        numerator_samples=data.unlabeled_x,
-        denominator_samples=data.labeled_x,
-        candidate_sigmas=sigmas,
-        candidate_rhos=DEFAULT_RHO_VALUES,
-        seed=derive_seed(seed, 1),
-        ratio_floor=config.ratio_floor,
-        ratio_cap=config.ratio_cap,
+    # The fit's own distance matrices: ulsif_predict on the same points
+    # would build them again.
+    r_model, sq_unlabeled, sq_labeled = _ulsif_fit(
+        data.unlabeled_x, data.labeled_x, sigmas, DEFAULT_RHO_VALUES,
+        derive_seed(seed, 1), config.ratio_floor, config.ratio_cap,
     )
-    r_unlabeled = ulsif_predict(r_model, data.unlabeled_x)
+    r_unlabeled = _ratio_at(r_model, sq_unlabeled)
     return RatioWeights(
-        r_labeled=ulsif_predict(r_model, data.labeled_x),
+        r_labeled=_ratio_at(r_model, sq_labeled),
         s_unlabeled=np.clip(1.0 / r_unlabeled, config.ratio_floor, config.ratio_cap),
     )

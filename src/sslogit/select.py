@@ -6,12 +6,16 @@ lambda alone and, since the EM step cannot move a fit (see em), coincide.
 The gamma2 grid is accepted and ignored: every candidate is recorded with
 gamma2 = 0. The search works on arrays: every (gamma1, lambda) cell is one
 row of a single em.fit_step1_batch call, scored by a single gic.gic_column
-call with the same weights r^gamma1, built once. The baselines are the
-gamma1 = 0 rows, whose weights r^0 are exactly ones, so one batch serves
-all three methods (shared_search) and each picks its winner from its own
-slice of rows, built once whichever method asks. A failed fit keeps the
-batch's error text, and only a slice's winner becomes a FittedModel.
-check_method checks every method name, and check_methods every method list.
+call that reads its pieces from the same batch, with the same weights
+r^gamma1, built once. The baselines are the gamma1 = 0 rows, whose weights
+r^0 are exactly ones, so one batch serves all three methods (shared_search)
+and each picks its winner from its own slice of rows, built once whichever
+method asks. The winner is the first minimum of (gic, lambda, gamma1, row)
+over the criterion arrays. The slice's CandidateRecords are built only when
+SelectionResult.candidates is read, and hold no reference to the search. A
+failed fit keeps the batch's error text, and only a slice's winner becomes
+a FittedModel. check_method checks every method name, and check_methods
+every method list.
 """
 
 from __future__ import annotations
@@ -85,12 +89,53 @@ class CandidateRecord:
     error: Optional[str] = None
 
 
+class _SliceRecords:
+    """The candidate records of rows start..stop of a search, built on the
+    first read and then kept. It holds the batch state and the criterion
+    column, never the search, so a finished search is freed as soon as
+    nothing refers to it."""
+
+    def __init__(self, state: _NewtonBatchState, col: GicColumn, rows: slice,
+                 row_gammas: np.ndarray, row_lams: np.ndarray):
+        self._state, self._col, self._rows = state, col, rows
+        self._gammas, self._lams = row_gammas[rows], row_lams[rows]
+        self._records: Optional[list[CandidateRecord]] = None
+
+    def params(self, k: int) -> TuningParams:
+        """Row k of the slice as parameters: its gamma1 and lambda, gamma2 = 0."""
+        return TuningParams(float(self._gammas[k]), 0.0, float(self._lams[k]))
+
+    def get(self) -> list[CandidateRecord]:
+        if self._records is None:
+            self._records = [self._record(k) for k in range(self._gammas.size)]
+        return self._records
+
+    def _record(self, k: int) -> CandidateRecord:
+        b, params = self._rows.start + k, self.params(k)
+        err = self._state.error(b)
+        fitted, report = err is None, None
+        if fitted:
+            try:
+                report = self._col.report(b, params)
+            except NumericalError as exc:
+                err = str(exc)
+        return CandidateRecord(params, report, fitted, err)
+
+
 @dataclass(frozen=True)
 class SelectionResult:
+    """A method's criterion minimizer and its winning report. candidates
+    lists one record per row of the method's slice, in grid order; the
+    records are built when first read."""
+
     method: str
     best_model: FittedModel
     best_report: GicReport
-    candidates: list[CandidateRecord] = field(repr=False)
+    records: _SliceRecords = field(repr=False, compare=False)
+
+    @property
+    def candidates(self) -> list[CandidateRecord]:
+        return list(self.records.get())
 
 
 def check_method(method: str) -> str:
@@ -134,9 +179,9 @@ class SharedSearch:
         """The criterion minimizer over this method's rows.
 
         Each record carries its row's gamma1 (0 on the baseline rows), so
-        lsslr and slr share one set of records and one winner. Ties go to
-        the first minimum of (gic, lambda, gamma1). NumericalError if every
-        row failed.
+        lsslr and slr share one set of records and one winner. The winner
+        is the first minimum of (gic, lambda, gamma1, row) over the rows
+        that were fitted and scored. NumericalError if every row failed.
         """
         meth = check_method(method)
         if meth not in self.rows:
@@ -146,37 +191,26 @@ class SharedSearch:
         if key not in self._built:
             self._built[key] = self._build(rows)
         records, best_model, best_report = self._built[key]
-        return SelectionResult(meth, best_model, best_report, list(records))
+        return SelectionResult(meth, best_model, best_report, records)
 
-    def _build(self, rows: slice) -> tuple[list[CandidateRecord], FittedModel, GicReport]:
-        records: list[CandidateRecord] = []
-        for b in range(rows.start, rows.stop):
-            params = TuningParams(float(self.row_gammas[b]), 0.0, float(self.row_lams[b]))
-            err = self.state.error(b)
-            fitted, report = err is None, None
-            if fitted:
-                try:
-                    report = self.col.report(b, params)
-                except NumericalError as exc:
-                    err = str(exc)
-            records.append(CandidateRecord(params, report, fitted, err))
-
-        scored = [
-            (r.report.gic, r.params.lam, r.params.gamma1, k)
-            for k, r in enumerate(records)
-            if r.report is not None
-        ]
-        if not scored:
-            n_failed = sum(1 for r in records if r.error is not None)
-            first = next((r.error for r in records if r.error is not None), "unknown")
+    def _build(self, rows: slice) -> tuple[_SliceRecords, FittedModel, GicReport]:
+        records = _SliceRecords(self.state, self.col, rows, self.row_gammas, self.row_lams)
+        fitted = np.array([self.state.error(b) is None for b in range(rows.start, rows.stop)])
+        trace = self.col.trace_term[rows]
+        ok = np.flatnonzero(fitted & ~np.isnan(trace))
+        if ok.size == 0:
+            cands = records.get()
             exc = NumericalError(
-                f"all {n_failed} grid candidates failed; first error: {first}"
+                f"all {len(cands)} grid candidates failed; first error: {cands[0].error}"
             )
-            exc.candidates = records  # type: ignore[attr-defined]
+            exc.candidates = cands  # type: ignore[attr-defined]
             raise exc
-        best = min(scored)[-1]
-        best_model = fitted_model(self.data, self.state, rows.start + best, records[best].params)
-        return records, best_model, records[best].report
+        gic = self.col.weighted_nll[rows][ok] + 2.0 * trace[ok]
+        lams, gammas = self.row_lams[rows][ok], self.row_gammas[rows][ok]
+        best = ok[np.lexsort((gammas, lams, gic))[0]]  # stable: full ties go to the first row
+        params = records.params(best)
+        b = rows.start + best
+        return records, fitted_model(self.data, self.state, b, params), self.col.report(b, params)
 
 
 def shared_search(
@@ -206,7 +240,7 @@ def shared_search(
     row_lams = np.tile(lams, len(gammas))
     eta = weighted_rows(data, weights, row_gammas, 0.0)[1]
     state = fit_step1_batch(data, weights, row_gammas, row_lams, eta)
-    col = gic_column(state.w, data, eta, row_lams)
+    col = gic_column(state.w, data, eta, row_lams, state)
     return SharedSearch(
         data, row_gammas, row_lams, state, col, {m: rows[m] for m in meths}
     )

@@ -526,3 +526,37 @@ class TestSharedTrialSearch:
         assert len(result.records) == 2 * len(METHODS)
         assert {r.error for r in result.records} == {"search broke"}
         assert all(result.summary(m).n_failed == 2 for m in METHODS)
+
+
+class TestRatiosOnlyWhenRead:
+    """Without sslrcs no method reads the ratio weights, so run_trials makes
+    the trial's data alone and weights it by ones."""
+
+    def test_baseline_records_equal_those_of_a_full_run(self, monkeypatch):
+        experiment = sim2_experiment(3)
+        full = run_trials(experiment, n_trials=2, base_seed=5)
+        fits = []
+        fit = experiments_mod.weights_from_ulsif
+
+        def spy(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "weights_from_ulsif", spy)
+        baselines = run_trials(experiment, methods=("slr", "lsslr"), n_trials=2, base_seed=5)
+        assert fits == []
+        by_key = {(r.trial, r.method): r for r in full.records}
+        assert baselines.records == [by_key[(r.trial, r.method)] for r in baselines.records]
+        assert [r.method for r in baselines.records] == ["slr", "lsslr"] * 2
+        run_trials(experiment, methods=("lsslr", "sslrcs"), n_trials=1, base_seed=5)
+        assert len(fits) == 1
+
+    def test_make_trial_is_make_data_then_make_weights(self):
+        for experiment in (sim1_experiment(25), sim2_experiment(1), ShiftedSyntheticExperiment()):
+            data, weights = experiment.make_trial(7)
+            alone = experiment.make_data(7)
+            for block in ("labeled_x", "labeled_y", "unlabeled_x", "test_x", "test_y"):
+                np.testing.assert_array_equal(getattr(data, block), getattr(alone, block))
+            again = experiment.make_weights(data, 7)
+            np.testing.assert_array_equal(weights.r_labeled, again.r_labeled)
+            np.testing.assert_array_equal(weights.s_unlabeled, again.s_unlabeled)

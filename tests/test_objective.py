@@ -107,6 +107,63 @@ class TestPosterior:
         assert p_pos == pytest.approx(1.0 - p_neg, abs=1e-12)
 
 
+def ulp_distance(a, b):
+    """How many doubles lie between a and b, elementwise (0 when equal)."""
+    ia, ib = a.view(np.int64), b.view(np.int64)
+    # Map the sign-magnitude bit patterns onto one monotone integer line.
+    ia = np.where(ia < 0, np.int64(-(2**63)) - ia, ia)
+    ib = np.where(ib < 0, np.int64(-(2**63)) - ib, ib)
+    return np.abs(ia - ib)
+
+
+class TestSoftplusPosterior:
+    """The fused kernel behind every objective and posterior evaluation."""
+
+    def test_within_four_ulp_of_logaddexp_and_expit(self):
+        z = np.concatenate([
+            np.linspace(-745.0, 745.0, 400_001),
+            make_rng(3).uniform(-40.0, 40.0, 200_000),
+        ])
+        softplus, pi = objective_mod._softplus_posterior(z)
+        assert ulp_distance(softplus, np.logaddexp(0.0, z)).max() <= 4
+        # Below log(DBL_MIN) scipy's expit, 1/(1 + exp(-z)), rounds to 0
+        # because exp(-z) overflows; the posterior is the subnormal e^z
+        # there, which is e^z / (1 + e^z) correctly rounded.
+        tiny = z < -709.0
+        reference = np.where(tiny, np.exp(np.minimum(z, -709.0)), expit(z))
+        assert ulp_distance(pi, reference).max() <= 4
+        assert tiny.any() and np.all(pi[tiny] > 0.0)
+
+    def test_exact_at_zeros_infinities_and_nan(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        softplus, pi = objective_mod._softplus_posterior(z)
+        np.testing.assert_array_equal(softplus, [np.log(2.0), np.log(2.0), np.inf, 0.0, np.nan])
+        np.testing.assert_array_equal(pi, [0.5, 0.5, 1.0, 0.0, np.nan])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(softplus, np.logaddexp(0.0, z))
+        np.testing.assert_array_equal(pi, expit(z))
+
+    def test_bits_do_not_depend_on_the_array_position(self):
+        # numpy runs exp and log1p in SIMD lanes with a scalar or masked
+        # tail; an element must come out the same in a lane and in a tail.
+        values = make_rng(4).normal(scale=20.0, size=64)
+        want = [objective_mod._softplus_posterior(values[i : i + 1]) for i in range(64)]
+
+        def check(z, at):
+            for got, ref in zip(objective_mod._softplus_posterior(z), zip(*want)):
+                np.testing.assert_array_equal(got, np.concatenate(ref)[at])
+
+        for offset in range(17):
+            for length in range(1, 34):
+                if offset + length <= 64:
+                    buffer = np.empty(offset + length)
+                    buffer[offset:] = values[offset : offset + length]
+                    check(buffer[offset:], slice(offset, offset + length))
+        stack = values[:63].reshape(7, 9)
+        for got, ref in zip(objective_mod._softplus_posterior(stack), zip(*want)):
+            np.testing.assert_array_equal(got, np.concatenate(ref)[:63].reshape(7, 9))
+
+
 class TestObjective:
     def test_matches_summation_oracle(self):
         for seed in range(5):
@@ -306,8 +363,9 @@ class TestBatchIndependence:
 
 def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta, halvings=None):
     """The line search as one objective call per halving, the reference
-    that _line_search must equal bit for bit. Appends each row's accepted
-    k, or None for a row that exhausted the halvings, to halvings."""
+    that _line_search must equal bit for bit on the rows it accepts. Appends
+    each row's accepted k, or None for a row that exhausted the halvings,
+    to halvings."""
     step = np.ones(w.shape[0])
     k = np.zeros(w.shape[0], dtype=np.int64)
     w_try = w - delta
@@ -325,7 +383,8 @@ def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta, halvings=None):
         need = ~(np.isfinite(obj_try) & (obj_try > obj))
     if halvings is not None:
         halvings.extend(None if n else int(j) for j, n in zip(k, need))
-    return w_try, obj_try, ~need
+    loglik_try, pi_try = objective_mod._loglik_posterior(w_try, x, v, yt)
+    return w_try, obj_try, loglik_try, pi_try, ~need
 
 
 def newton_instance(seed, n, d, b, separable):
@@ -342,7 +401,8 @@ def newton_instance(seed, n, d, b, separable):
 
 def newton_state_bytes(args):
     s = objective_mod._newton_batch(*args)
-    arrays = (s.w, s.objective, s.iterations, s.grad_norm)
+    arrays = (s.w, s.objective, s.iterations, s.grad_norm, s.loglik, s.score, s.hessian,
+              s.score_gram)
     return tuple(a.tobytes() for a in arrays) + (s.status,)
 
 
@@ -387,30 +447,47 @@ class TestChunkedLineSearch:
         assert any(k is not None and k >= 16 for k in halvings)
 
     def test_at_most_one_call_per_chunk_within_the_block_budget(self, monkeypatch):
-        chunk_rows, rows, per_step = [], [], [0]
-        objective, posterior = objective_mod._batch_objective, objective_mod._batch_posterior
+        # Per Newton step: one evaluation of the full step, at most one
+        # objective call per chunk of halvings, and at most one more
+        # evaluation for the rows a chunk accepted.
+        chunk_rows, rows, per_step, in_chunk = [], [], [[0, 0]], [False]
+        objective = objective_mod._batch_objective
+        loglik_posterior = objective_mod._loglik_posterior
+        line_search = objective_mod._line_search
 
         def count_objective(w, *args):
             rows.append(w.shape[0])
-            per_step[-1] += 1
-            if per_step[-1] > 1:
-                chunk_rows.append(w.shape[0])
-            return objective(w, *args)
+            chunk_rows.append(w.shape[0])
+            per_step[-1][0] += 1
+            in_chunk[0] = True
+            try:
+                return objective(w, *args)
+            finally:
+                in_chunk[0] = False
 
-        def count_posterior(*args):
-            per_step.append(0)
-            return posterior(*args)
+        def count_evaluation(w, *args):
+            if not in_chunk[0]:  # the objective evaluates through it too
+                rows.append(w.shape[0])
+                per_step[-1][1] += 1
+            return loglik_posterior(w, *args)
+
+        def one_step(*args):
+            per_step.append([0, 0])
+            return line_search(*args)
 
         monkeypatch.setattr(objective_mod, "_batch_objective", count_objective)
-        monkeypatch.setattr(objective_mod, "_batch_posterior", count_posterior)
+        monkeypatch.setattr(objective_mod, "_loglik_posterior", count_evaluation)
+        monkeypatch.setattr(objective_mod, "_line_search", one_step)
         args = newton_instance(2, 250, 3, 40, separable=False)
         budget = objective_mod.BLOCK_DOUBLES
         step = max(objective_mod.MIN_BLOCK_ROWS, budget // args[0].size)
-        # As one row block every chunk is one call: the full step plus the
-        # five chunks of 30 halvings, some carrying more rows than a block.
+        # As one row block every chunk is one call: the five chunks of 30
+        # halvings, some carrying more rows than a block.
         monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", 10**9)
         objective_mod._newton_batch(*args)
-        assert per_step[0] == 1 and max(per_step) == 1 + 5
+        assert per_step[0] == [0, 1]
+        assert max(chunks for chunks, _ in per_step) == 5
+        assert {evals for _, evals in per_step[1:]} == {1, 2}
         assert max(chunk_rows) > step
         # The default budget splits those chunks, so no call passes it.
         monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", budget)

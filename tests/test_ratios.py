@@ -366,15 +366,18 @@ class TestWeightsFromUlsif:
         data = make_split(40, 60, 2, seed=13)
         fitted = []
 
-        def counting_fit(*args, **kwargs):
-            fitted.append(ulsif_fit(*args, **kwargs))
+        def counting_fit(*args):
+            fitted.append(fit(*args))
             return fitted[-1]
 
-        monkeypatch.setattr(ratios_mod, "ulsif_fit", counting_fit)
+        # The fit also hands back its distance matrices, and both ratios are
+        # read from them: they must equal ulsif_predict's bit for bit.
+        fit = ratios_mod._ulsif_fit
+        monkeypatch.setattr(ratios_mod, "_ulsif_fit", counting_fit)
         cfg = UlsifConfig(ratio_floor=0.7, ratio_cap=1.2)
         w = weights_from_ulsif(data, cfg, seed=3)
         assert len(fitted) == 1
-        r_model = fitted[0]
+        r_model = fitted[0][0]
         np.testing.assert_array_equal(w.r_labeled, ulsif_predict(r_model, data.labeled_x))
         s_expected = np.clip(1.0 / ulsif_predict(r_model, data.unlabeled_x), 0.7, 1.2)
         np.testing.assert_array_equal(w.s_unlabeled, s_expected)

@@ -1,6 +1,8 @@
 """Grid construction, criterion-minimum selection, and failure handling."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from sslogit.data import SplitDataset, make_rng
 import sslogit.gic as gic_mod
 from sslogit.em import e_step, fit_semisupervised, fit_step1_batch
 from sslogit.errors import NumericalError, ParameterError
-from sslogit.gic import gic_lsslr, gic_score, gic_slr
-from sslogit.objective import TuningParams
+from sslogit.gic import gic_column, gic_lsslr, gic_score, gic_slr
+from sslogit.objective import TuningParams, power_weights
 from sslogit.ratios import RatioWeights, unit_weights
-from sslogit.select import Grid, default_grid, grid_search, shared_search
+from sslogit.select import CandidateRecord, Grid, default_grid, grid_search, shared_search
 
 
 def make_instance(n1, n0, p, seed):
@@ -307,7 +309,6 @@ class TestRowBlocks:
             return hessian(pi, *args)
 
         monkeypatch.setattr(objective_mod, "_batch_hessian", spy)
-        monkeypatch.setattr(gic_mod, "_batch_hessian", spy)
         res = grid_search(data, weights, default_grid(), method="sslrcs")
         block = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // (250 * 3))
         assert block < len(res.candidates) == 154
@@ -445,7 +446,11 @@ class TestSharedSearch:
         monkeypatch.setattr(em_mod, "e_step", e_step_spy)
         search = shared_search(data, weights, TINY)
         results = [search.select(m) for m in ("sslrcs", "lsslr", "slr", "lsslr")]
-        assert len(reports) == 6 + 3 and len(imputed) == 2
+        # Selecting builds one winner per slice; the records wait for a read.
+        assert len(reports) == 2 and len(imputed) == 2
+        for result in results:
+            assert result.candidates
+        assert len(reports) == 2 + 6 + 3
         assert [r.method for r in results] == ["sslrcs", "lsslr", "slr", "lsslr"]
         assert results[1].candidates == results[2].candidates
         assert results[1].best_model is results[2].best_model
@@ -480,3 +485,55 @@ class TestSharedSearch:
                 grid_search(data, weights, TINY, m)
             assert str(shared.value) == str(solo.value)
             assert shared.value.candidates == solo.value.candidates
+
+
+class TestLazyRecords:
+    """The winner comes from the criterion arrays; the records are built
+    when first read, from the batch the search scored."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_record_equals_a_solo_score(self, seed):
+        # Bit for bit: the search reads the criterion pieces from its Newton
+        # batch, and a candidate fitted and scored alone recomputes them.
+        data, weights = make_instance(60, 20, 2, seed=30 + seed)
+        search = shared_search(data, weights)
+        for method in ("sslrcs", "slr"):
+            for cand in search.select(method).candidates:
+                assert cand.error is None
+                model = fit_semisupervised(data, weights, cand.params)
+                assert cand.report == gic_score(model, data, weights)
+
+    def test_lazy_candidates_equal_eager_records(self):
+        data, weights = make_instance(40, 20, 2, seed=33)
+        grid = Grid((0.0, 0.5, 1.0), (0.0,), (-3.0, -1.0, 1.0))
+        gammas = np.repeat(grid.gamma1_values, 3)
+        lams = np.tile(np.power(10.0, grid.log10_lambda_values), 3)
+        eta = power_weights(weights.r_labeled, gammas)
+        state = fit_step1_batch(data, weights, gammas, lams)
+        col = gic_column(state.w, data, eta, lams)
+        eager = []
+        for b in range(gammas.size):
+            params = TuningParams(float(gammas[b]), 0.0, float(lams[b]))
+            eager.append(CandidateRecord(params, col.report(b, params), True))
+        search = shared_search(data, weights, grid)
+        sslrcs, slr = search.select("sslrcs"), search.select("slr")
+        assert sslrcs.candidates == eager
+        assert slr.candidates == eager[:3]
+        assert sslrcs.candidates is not sslrcs.candidates
+        assert sslrcs.best_report == min(eager, key=lambda c: c.report.gic).report
+
+    def test_a_finished_search_is_freed_without_the_cycle_collector(self):
+        data, weights = make_instance(30, 10, 2, seed=34)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            search = shared_search(data, weights, TINY)
+            results = [search.select(m) for m in select_mod.METHODS]
+            results[0].candidates
+            freed = weakref.ref(search)
+            del search
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert [len(r.candidates) for r in results] == [6, 3, 3]
