@@ -79,6 +79,9 @@ COMMANDS = [
     *_fit_predict("sslrcs", "--gamma1", "0.5", "--log10-lambda", "-1"),
     *_fit_predict("lsslr", "--gamma2", "0.5"),
     *_fit_predict("slr", "--standardize", "--log10-lambda", "0.5"),
+    ("fit-slr-top-lambda", ["fit", "--labeled", "data/a2_lab.csv", "--method", "slr",
+                            "--log10-lambda", "2.5", "--model-out", "out/model-slr-top.json"],
+     ["out/model-slr-top.json"]),
     _replicate("replicate-sim1", "sim1", "--trials", "2"),
     _replicate("replicate-sim1-methods", "sim1", "--n", "50", "--trials", "3",
                "--methods", "slr,sslrcs"),
@@ -96,6 +99,7 @@ COMMANDS = [
     ("usage-bad-fraction", ["replicate", "bench", "--dataset", "pima", "--data-dir", "missing",
                             "--fractions", "10,150"], []),
     ("usage-missing-flag", ["fit", "--labeled", "data/a2_lab.csv"], []),
+    ("usage-negative-seed", ["select", "--labeled", "data/a2_lab.csv", "--seed", "-1"], []),
     ("help", ["--help"], []),
     *((f"help-{c}", [c, "--help"], []) for c in ("select", "fit", "predict", "replicate")),
 ]

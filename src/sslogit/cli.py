@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import SplitDataset, read_csv
+from .data import SplitDataset, check_seed, read_csv
 from .em import FittedModel, fit_semisupervised, predict
 from .errors import DataError, ParameterError, SslogitError
 from .experiments import (
@@ -45,7 +45,7 @@ from .ratios import (
     weights_from_ulsif,
 )
 from .select import METHODS, WEIGHTED_METHOD, Grid, check_method, check_methods
-from .select import default_grid, shared_search
+from .select import default_grid, ridge_values, shared_search
 
 DATA_DIR_ENV = "SSLOGIT_DATA_DIR"
 MODEL_FORMAT = "sslogit-model"
@@ -173,8 +173,9 @@ def _load_user_data(
     """The user's CSVs, standardized if asked, with their standardization
     and ratio weights. Only WEIGHTED_METHOD reads the weights, so uLSIF runs
     only when it is among the methods; otherwise the weights are ones. The
-    ratio flags are checked before any file is read."""
+    ratio flags and the seed are checked before any file is read."""
     config = UlsifConfig(ratio_floor=args.ratio_floor, ratio_cap=args.ratio_cap)
+    check_seed(args.seed)
     weighted = WEIGHTED_METHOD in methods
     labeled_x, labeled_y = read_csv(args.labeled, has_label=True)
     if np.unique(labeled_y).size < 2:
@@ -279,10 +280,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        lam = 10.0**args.log10_lambda
-    except OverflowError:
-        lam = np.inf  # rejected by TuningParams, as an underflow to 0 is
+    lam = float(ridge_values([args.log10_lambda])[0])
     params = TuningParams(gamma1=args.gamma1, gamma2=args.gamma2, lam=lam)
     data, std, weights = _load_user_data(args, (args.method,))
     model = fit_semisupervised(data, weights, params)

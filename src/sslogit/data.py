@@ -19,9 +19,16 @@ from .errors import DataError, ParameterError
 Seed = int
 
 
+def check_seed(seed: Seed) -> Seed:
+    """The seed; ParameterError if negative, which numpy's seeding rejects."""
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def make_rng(seed: Seed) -> np.random.Generator:
     """Return the generator used everywhere randomness is needed."""
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_seed(seed))
 
 
 def derive_seed(seed: Seed, salt: int) -> int:
@@ -30,7 +37,7 @@ def derive_seed(seed: Seed, salt: int) -> int:
     Keeps consumers that share one user-facing seed (data generation,
     ratio-model fitting, ...) on distinct PCG64 streams.
     """
-    return int(np.random.SeedSequence((seed, salt)).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence((check_seed(seed), salt)).generate_state(1, np.uint64)[0])
 
 
 def _as_matrix(x, name: str) -> np.ndarray:

@@ -15,7 +15,8 @@ with labeled and unlabeled data", 2000).
 
 So a fitted model is the step-1 fit, with t_hat = e_step(w) and no EM
 iterations. fit_step1_batch fits a batch of (gamma1, lambda) rows as
-arrays, and fitted_model alone builds a FittedModel from one of its rows.
+arrays, and its state carries what gic.column_from_fit reads to score
+them; fitted_model alone builds a FittedModel from one of its rows.
 fit_semisupervised (alias fit_supervised) is fitted_model over a one-row
 batch; the grid search (sslogit.select) builds one for each winner, and
 fit_lambda_batch one for every ridge value of one gamma1.
@@ -121,16 +122,11 @@ def fit_step1_batch(
     weights: RatioWeights,
     gamma1: float | np.ndarray,
     lams: np.ndarray,
-    eta: Optional[np.ndarray] = None,
 ) -> _NewtonBatchState:
-    """Step-1 fits, one row per entry of lams, gamma1 shared or per row.
-
-    eta is the row weights r^gamma1 of weighted_rows(data, weights,
-    gamma1, 0.0), when the caller has built them already.
-    """
-    x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
-    if eta is None:
-        eta = weighted_rows(data, weights, gamma1, 0.0)[1]
+    """Step-1 fits from zero, one row per entry of lams, gamma1 shared or
+    per row, on the labeled design, weights r^gamma1 and targets that
+    weighted_rows gives."""
+    x_lab, eta, y = weighted_rows(data, weights, gamma1, 0.0)
     lams = np.asarray(lams, dtype=np.float64)
     w0 = np.zeros((lams.size, x_lab.shape[1]))
     return _newton_batch(x_lab, eta, y, lams, data.n_labeled, w0)

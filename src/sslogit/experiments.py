@@ -18,7 +18,8 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .data import Seed, SplitDataset, derive_seed, make_rng, read_csv, split_labeled_unlabeled
+from .data import Seed, SplitDataset, check_seed, derive_seed, make_rng, read_csv
+from .data import split_labeled_unlabeled
 from .em import predict
 from .errors import DataError, ParameterError, SslogitError
 from .ratios import (
@@ -504,14 +505,15 @@ def run_trials(
     base_seed: Seed = 0,
     grid: Optional[Grid] = None,
 ) -> RunResult:
-    """Trial i uses seed base_seed + i; per-trial failures are recorded and
-    excluded from the means. One shared_search per trial serves every
+    """Trial i uses seed base_seed + i (checked before trial 0); per-trial
+    failures are recorded and excluded from the means. One shared_search per trial serves every
     method; a method whose rows all fail records its own error. The test
     block is predicted once per distinct winner: lsslr and slr share one.
     Without sslrcs no method reads the ratio weights, so an experiment with
     make_data gets unit weights instead of fitting them."""
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
+    check_seed(base_seed)
     methods = check_methods(methods)
     make_data = None if WEIGHTED_METHOD in methods else getattr(experiment, "make_data", None)
     records: list[TrialRecord] = []

@@ -7,14 +7,14 @@ over the labeled count. Only labeled points and the r-direction weights
 enter; the unlabeled block influences the criterion through the ratio
 weights alone.
 
-One kernel, gic_column, scores B coefficient rows in one call: they share the
-labeled block, and each has its own ridge value and may have its own
-weights. It reads each row's log-likelihood, score, Hessian and score
-outer-product sum from the Newton batch that fitted the rows, or builds
-them with the Newton kernel's own functions (objective._curvature), and
-adds the ridge term of Q, the scaling by n1 and the trace: one Cholesky
-check and one solve over the whole stack. The single-model functions below
-are batch-of-one wrappers around it.
+column_from_fit scores the B rows of a Newton batch in one call: they
+share the labeled block, and each has its own ridge value and weights. It
+reads each row's log-likelihood, score, Hessian and score outer-product
+sum from the batch and adds only the ridge term of Q, the scaling by n1
+and the trace: one Cholesky check and one solve over the whole stack. The
+grid search scores the batch that fitted its rows; gic_column scores given
+rows as a batch that takes no Newton step, and the single-model functions
+below are batch-of-one wrappers around it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .data import SplitDataset
 from .data import build_design  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .em import FittedModel
 from .errors import NumericalError
-from .objective import TuningParams, power_weights, row_blocks
-from .objective import _NewtonBatchState, _curvature, _loglik_posterior, _pair_products
+from .objective import TuningParams, _newton_batch, _NewtonBatchState, power_weights
 from .ratios import RatioWeights
 
 
@@ -102,47 +101,33 @@ def _checked_traces(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.trace(np.linalg.solve(r, q), axis1=1, axis2=2)
 
 
+def column_from_fit(fit: _NewtonBatchState, lams: np.ndarray, n1: int) -> GicColumn:
+    """Q, R, weighted NLL and trace term for every row of a Newton batch on
+    the labeled block (objective._newton_batch), whose ridge values are
+    lams (B,); n1 is the labeled count."""
+    q = fit.score_gram.copy()
+    q[:, 1:] -= lams[:, None, None] * (fit.w[:, 1:, None] * fit.score[:, None, :])
+    q /= n1
+    r = -fit.hessian / n1
+    return GicColumn(q, r, -2.0 * fit.loglik, _trace_terms(q, r))
+
+
 def gic_column(
     w: np.ndarray,
     data: SplitDataset,
     eta: np.ndarray,
     lams: np.ndarray,
-    fit: _NewtonBatchState | None = None,
 ) -> GicColumn:
     """Q, R, weighted NLL and trace term for every row of w (B, d).
 
     All rows share the labeled block of data; eta holds the per-point
     weights, shared (n1,) or one row each (B, n1), and lams each row's
-    ridge value. fit is the Newton state that produced w on these rows,
-    weights and ridge values, when the caller has it: its log-likelihood,
-    score, Hessian and score outer-product sum are then read, not
-    recomputed. Either way they are the Newton kernel's own pieces
-    (objective._curvature), so each row equals its single-model score bit
-    for bit.
+    ridge value. The rows are evaluated as a Newton batch that takes no
+    step, so each equals its row of the batch that fitted it bit for bit.
     """
-    lams, n1 = np.asarray(lams, dtype=np.float64), data.n_labeled
-    if fit is None:
-        loglik, score, hessian, score_gram = _fit_pieces(w, data, eta, lams)
-    else:
-        loglik, score, hessian, score_gram = fit.loglik, fit.score, fit.hessian, fit.score_gram
-    q = score_gram.copy()
-    q[:, 1:] -= lams[:, None, None] * (w[:, 1:, None] * score[:, None, :])
-    q /= n1
-    r = -hessian / n1
-    return GicColumn(q, r, -2.0 * loglik, _trace_terms(q, r))
-
-
-def _fit_pieces(w, data, eta, lams):
-    """Log-likelihood, score, Hessian and score outer-product sum of the
-    rows w, built as the Newton kernel builds them, in its row blocks."""
-    x_lab, y = data.labeled_design, data.labeled_y.astype(np.float64)
-    eta = np.broadcast_to(eta, (w.shape[0], x_lab.shape[0]))
-    xx = _pair_products(x_lab)
-    blocks = []
-    for b in row_blocks(w.shape[0], x_lab):
-        loglik, pi = _loglik_posterior(w[b], x_lab, eta[b], y)
-        blocks.append((loglik, *_curvature(pi, x_lab, xx, eta[b], y, lams[b], data.n_labeled)))
-    return tuple(np.concatenate(pieces) for pieces in zip(*blocks))
+    lams, y = np.asarray(lams, dtype=np.float64), data.labeled_y.astype(np.float64)
+    fit = _newton_batch(data.labeled_design, eta, y, lams, data.n_labeled, w, max_iters=0)
+    return column_from_fit(fit, lams, data.n_labeled)
 
 
 def gic_matrices(

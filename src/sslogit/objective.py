@@ -20,9 +20,9 @@ posterior and the log-likelihood of the evaluation that accepted it, so no
 step recomputes them. Weighted Gram matrices, the Hessian and the score
 outer products, are one row-wise product against the design's pair
 products (_gram). At the final iterate the posterior is reduced to what the
-criterion needs (_curvature) and dropped; gic.gic_column reads those pieces
-from the state, or builds them with the same functions for a model scored
-alone.
+criterion needs (_curvature) and dropped; gic reads those pieces from the
+state alone. A model scored alone is a batch that takes no step
+(max_iters=0), so its pieces are built by this same code.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class _NewtonBatchState:
     grad_norm: np.ndarray  # (B,)
     status: list[str]
     # At the final w, from its posterior (see _curvature), for
-    # gic.gic_column: the unpenalized log-likelihood, the score, the
+    # gic.column_from_fit: the unpenalized log-likelihood, the score, the
     # Hessian and the score outer-product sum.
     loglik: np.ndarray  # (B,)
     score: np.ndarray  # (B, d)
@@ -353,7 +353,7 @@ def _line_search(x, v, yt, lams, n1, w, obj, delta):
     return w_try, obj_try, loglik_try, pi_try, ~need
 
 
-def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
+def _newton_batch(x, v, yt, lams, n1, w0, max_iters=None) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
     B candidates, one row block (see row_blocks) at a time.
 
@@ -361,14 +361,17 @@ def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     each (B, n) or shared (n,). Full steps are halved until the objective
     strictly increases (see _line_search). Candidates retire independently:
     small gradient, sub-tolerance improvement, exhausted line search, or a
-    solver failure.
+    solver failure. At most max_iters steps are taken, MAX_ITERS (read at
+    call time) when None; max_iters=0 evaluates the rows at w0.
     """
     n_batch, n = w0.shape[0], x.shape[0]
     v = np.broadcast_to(v, (n_batch, n))
     yt = np.broadcast_to(yt, (n_batch, n))
     xx = _pair_products(x)
+    max_iters = MAX_ITERS if max_iters is None else max_iters
     blocks = [
-        _newton_block(x, xx, v[b], yt[b], lams[b], n1, w0[b]) for b in row_blocks(n_batch, x)
+        _newton_block(x, xx, v[b], yt[b], lams[b], n1, w0[b], max_iters)
+        for b in row_blocks(n_batch, x)
     ]
     arrays = ("w", "objective", "iterations", "grad_norm", "loglik", "score", "hessian",
               "score_gram")
@@ -378,7 +381,7 @@ def _newton_batch(x, v, yt, lams, n1, w0) -> _NewtonBatchState:
     )
 
 
-def _newton_block(x, xx, v, yt, lams, n1, w0) -> _NewtonBatchState:
+def _newton_block(x, xx, v, yt, lams, n1, w0, max_iters) -> _NewtonBatchState:
     """_newton_batch on one block of rows, xx = _pair_products(x).
 
     Each iterate's posterior comes from the objective evaluation that
@@ -392,7 +395,7 @@ def _newton_block(x, xx, v, yt, lams, n1, w0) -> _NewtonBatchState:
     iters = np.zeros(n_batch, dtype=np.int64)
     failed = np.zeros(n_batch, dtype=bool)
     active = np.arange(n_batch)
-    for _ in range(MAX_ITERS):
+    for _ in range(max_iters):
         if active.size == 0:
             break
         g = _batch_gradient(pi[active], w[active], x, v[active], yt[active], lams[active], n1)

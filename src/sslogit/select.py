@@ -5,9 +5,10 @@ Three method flavors share the machinery: the weighted fit searches over
 lambda alone and, since the EM step cannot move a fit (see em), coincide.
 The gamma2 grid is accepted and ignored: every candidate is recorded with
 gamma2 = 0. The search works on arrays: every (gamma1, lambda) cell is one
-row of a single em.fit_step1_batch call, scored by a single gic.gic_column
-call that reads its pieces from the same batch, with the same weights
-r^gamma1, built once. The baselines are the gamma1 = 0 rows, whose weights
+row of a single em.fit_step1_batch call, scored by a single
+gic.column_from_fit call that reads its pieces from that batch alone. Each
+lambda is ridge_values(log10 lambda), as in Grid's check and in the
+command line's fit. The baselines are the gamma1 = 0 rows, whose weights
 r^0 are exactly ones, so one batch serves all three methods (shared_search)
 and each picks its winner from its own slice of rows, built once whichever
 method asks. The winner is the first minimum of (gic, lambda, gamma1, row)
@@ -29,13 +30,21 @@ from .data import SplitDataset
 from .em import FittedModel, fit_step1_batch, fitted_model
 from .em import fit_lambda_batch  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .errors import NumericalError, ParameterError
-from .gic import GicColumn, GicReport, gic_column
+from .gic import GicColumn, GicReport, column_from_fit
 from .gic import gic_lsslr, gic_score, gic_slr  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .objective import TuningParams, _NewtonBatchState, weighted_rows
+from .objective import TuningParams, _NewtonBatchState
 from .ratios import RatioWeights
 
 METHODS = ("sslrcs", "lsslr", "slr")
 WEIGHTED_METHOD = "sslrcs"  # the one method that reads the ratio weights
+
+
+def ridge_values(log10_values: Sequence[float]) -> np.ndarray:
+    """10**v for each log10 lambda v by numpy's array power, inf without a
+    warning on overflow. Every search and fit takes its lambdas from here:
+    Python's 10.0**v can differ in the last bit, which is another model."""
+    with np.errstate(over="ignore"):
+        return np.power(10.0, np.asarray(log10_values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,7 @@ class Grid:
         logs = tuple(float(v) for v in self.log10_lambda_values)
         if not logs:
             raise ParameterError("log10_lambda_values must be nonempty")
-        with np.errstate(over="ignore"):
-            lams = np.power(10.0, logs)
+        lams = ridge_values(logs)
         bad = [v for v, lam in zip(logs, lams) if not (np.isfinite(lam) and lam > 0.0)]
         if bad:
             raise ParameterError(
@@ -228,7 +236,7 @@ def shared_search(
     """
     meths = check_methods(methods)
     g = grid or default_grid()
-    lams = np.power(10.0, np.asarray(g.log10_lambda_values, dtype=np.float64))
+    lams = ridge_values(g.log10_lambda_values)
     gammas = list(g.gamma1_values) if WEIGHTED_METHOD in meths else []
     rows = {WEIGHTED_METHOD: slice(0, len(gammas) * lams.size)}
     if any(m != WEIGHTED_METHOD for m in meths):
@@ -238,9 +246,8 @@ def shared_search(
         rows["lsslr"] = rows["slr"] = slice(z, z + lams.size)
     row_gammas = np.repeat(np.asarray(gammas), lams.size)
     row_lams = np.tile(lams, len(gammas))
-    eta = weighted_rows(data, weights, row_gammas, 0.0)[1]
-    state = fit_step1_batch(data, weights, row_gammas, row_lams, eta)
-    col = gic_column(state.w, data, eta, row_lams, state)
+    state = fit_step1_batch(data, weights, row_gammas, row_lams)
+    col = column_from_fit(state, row_lams, data.n_labeled)
     return SharedSearch(
         data, row_gammas, row_lams, state, col, {m: rows[m] for m in meths}
     )

@@ -226,6 +226,31 @@ class TestFitFlags:
         assert flag in capsys.readouterr().err
 
 
+class TestFitAtSelection:
+    """fit at a select winner's printed (gamma1, log10_lambda) refits that
+    winner: both map log10 lambda to lambda through select.ridge_values."""
+
+    @pytest.mark.parametrize("method", ["slr", "sslrcs"])
+    def test_fit_writes_the_winners_coefficients(self, workdir, capsys, method):
+        inputs = ["--labeled", str(workdir / "labeled.csv"),
+                  "--unlabeled", str(workdir / "unlabeled.csv")]
+        selection, model = workdir / "select.json", workdir / "model.json"
+        for v in select_mod.default_grid().log10_lambda_values:
+            assert main([
+                "select", *inputs, "--methods", method, f"--grid-log10-lambda={v!r}",
+                "--output", str(selection),
+            ]) == 0
+            winner = json.loads(selection.read_text())["methods"][method]
+            chosen = winner["selected"]
+            assert chosen["log10_lambda"] == v
+            assert main([
+                "fit", *inputs, "--method", method, f"--gamma1={chosen['gamma1']!r}",
+                f"--log10-lambda={chosen['log10_lambda']!r}", "--model-out", str(model),
+            ]) == 0
+            assert json.loads(model.read_text())["coefficients"] == winner["coefficients"], v
+        capsys.readouterr()
+
+
 class TestModelValidation:
     def make_inputs(self, tmp_path):
         with open(tmp_path / "x.csv", "w") as fh:
@@ -667,8 +692,8 @@ class TestExitCodes:
     def test_out_of_range_fit_lambda_is_a_usage_error(
         self, workdir, capsys, exponent, lam
     ):
-        # 10.0**400 raises OverflowError in Python; it is rejected as an
-        # infinite lambda, like the underflow to 0, before any file is read.
+        # 10**400 overflows to inf (select.ridge_values); it is rejected as
+        # an infinite lambda, like the underflow to 0, before any file is read.
         output = workdir / "m.json"
         code = main([
             "fit", "--labeled", str(workdir / "labeled.csv"), "--method", "slr",
@@ -715,6 +740,26 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "ratio_floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--seed", "-1"],
+            ["fit", "--method", "sslrcs", "--seed", "-5", "--model-out", "model.json"],
+            ["replicate", "sim1", "--n", "25", "--trials", "1", "--seed", "-1"],
+        ],
+        ids=["select", "fit", "replicate"],
+    )
+    def test_negative_seed_is_a_usage_error(self, workdir, monkeypatch, capsys, argv):
+        monkeypatch.chdir(workdir)
+        if argv[0] != "replicate":
+            argv = argv + ["--labeled", "labeled.csv", "--unlabeled", "unlabeled.csv"]
+        assert main(argv) == 1
+        seed = argv[argv.index("--seed") + 1]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert captured.out == ""
+        assert not (workdir / "model.json").exists()
 
     def test_replicate_bench_needs_dataset(self, capsys):
         code = main(["replicate", "bench", "--trials", "1"])

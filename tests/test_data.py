@@ -16,7 +16,7 @@ from sslogit.data import (
     read_csv,
     split_labeled_unlabeled,
 )
-from sslogit.errors import DataError
+from sslogit.errors import DataError, ParameterError
 
 
 def small_data(n1=4, n0=3, p=2, seed=0):
@@ -137,6 +137,15 @@ class TestSeeding:
     def test_derive_seed_salts_differ(self):
         assert derive_seed(5, 1) != derive_seed(5, 2)
         assert derive_seed(5, 1) != derive_seed(6, 1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_negative_seed_is_a_parameter_error(self, seed):
+        # numpy's own seeding raises a bare ValueError for these.
+        message = f"seed must be a non-negative integer, got {seed}"
+        with pytest.raises(ParameterError, match=message):
+            make_rng(seed)
+        with pytest.raises(ParameterError, match=message):
+            derive_seed(seed, 1)
 
 
 class TestSplitLabeledUnlabeled:

@@ -389,6 +389,14 @@ class TestRunTrials:
         with pytest.raises(ParameterError, match="positive"):
             run_trials(_ToyExperiment(), n_trials=0)
 
+    def test_negative_base_seed_is_rejected_before_trial_0(self):
+        class Unreached(_ToyExperiment):
+            def make_trial(self, seed):
+                raise AssertionError("a trial ran")
+
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+            run_trials(Unreached(), n_trials=3, base_seed=-1)
+
     def test_trial_failures_are_counted_not_fatal(self):
         class Flaky(_ToyExperiment):
             name = "flaky"
@@ -502,8 +510,8 @@ class TestSharedTrialSearch:
         assert calls == [4, 4]
 
     def test_a_method_fails_alone(self, monkeypatch):
-        def fail_zero_gamma(data, weights, gammas, lams, *rest):
-            state = fit_step1_batch(data, weights, gammas, lams, *rest)
+        def fail_zero_gamma(data, weights, gammas, lams):
+            state = fit_step1_batch(data, weights, gammas, lams)
             for b in np.flatnonzero(np.asarray(gammas) == 0.0):
                 state.status[b] = objective_mod._FAILED
             return state

@@ -494,3 +494,30 @@ class TestChunkedLineSearch:
         rows.clear()
         objective_mod._newton_batch(*args)
         assert max(rows) == step
+
+
+class TestEvaluationOnlyBatch:
+    """max_iters=0 evaluates the rows at w0: gic scores a model alone this way."""
+
+    def test_zero_steps_return_the_start_rows(self):
+        x, v, yt, lams, n1, _ = newton_instance(3, 80, 4, 40, separable=False)
+        w0 = make_rng(4).normal(scale=2.0, size=(40, 4))
+        state = objective_mod._newton_batch(x, v, yt, lams, n1, w0, max_iters=0)
+        assert state.w.tobytes() == w0.tobytes()
+        assert not np.shares_memory(state.w, w0)
+        np.testing.assert_array_equal(state.iterations, 0)
+        assert state.grad_norm.min() > 1.0
+        assert set(state.status) == {"max-iterations"}
+        loglik = objective_mod._batch_loglik(w0, x, v, yt)
+        assert state.loglik.tobytes() == loglik.tobytes()
+        penalized = objective_mod._penalized(loglik, w0, lams, n1)
+        assert state.objective.tobytes() == penalized.tobytes()
+
+    def test_a_default_call_reads_max_iters_at_call_time(self, monkeypatch):
+        args = newton_instance(5, 60, 3, 20, separable=True)
+        assert objective_mod._newton_batch(*args).iterations.max() > 2
+        monkeypatch.setattr(objective_mod, "MAX_ITERS", 2)
+        capped = objective_mod._newton_batch(*args)
+        assert capped.iterations.max() == 2
+        assert "max-iterations" in capped.status
+        assert newton_state_bytes(args) == newton_state_bytes((*args, 2))

@@ -196,11 +196,11 @@ class TestColumnScoring:
         data, weights = make_instance(15, 10, 2, seed=12)
 
         def one_bad_row(*args):
-            col = gic_mod.gic_column(*args)
+            col = gic_mod.column_from_fit(*args)
             col.trace_term[1] = np.nan
             return col
 
-        monkeypatch.setattr(select_mod, "gic_column", one_bad_row)
+        monkeypatch.setattr(select_mod, "column_from_fit", one_bad_row)
         res = grid_search(data, weights, TINY, method="lsslr")
         bad = res.candidates[1]
         assert bad.report is None
@@ -216,11 +216,11 @@ class TestStep1Search:
         data, weights = make_instance(15, 10, 2, seed=13)
         scored = []
 
-        def spy(w, *args):
-            scored.append(np.array(w))
-            return gic_mod.gic_column(w, *args)
+        def spy(fit, *args):
+            scored.append(np.array(fit.w))
+            return gic_mod.column_from_fit(fit, *args)
 
-        monkeypatch.setattr(select_mod, "gic_column", spy)
+        monkeypatch.setattr(select_mod, "column_from_fit", spy)
         res = grid_search(data, weights, TINY, method="sslrcs")
         n_lams = len(TINY.log10_lambda_values)
         assert len(res.candidates) == len(TINY.gamma1_values) * n_lams
@@ -246,16 +246,16 @@ class TestStep1Search:
 
         def score_spy(*args):
             calls["score"].append(args)
-            return gic_mod.gic_column(*args)
+            return gic_mod.column_from_fit(*args)
 
         monkeypatch.setattr(select_mod, "fit_step1_batch", fit_spy)
-        monkeypatch.setattr(select_mod, "gic_column", score_spy)
+        monkeypatch.setattr(select_mod, "column_from_fit", score_spy)
         res = grid_search(data, weights, default_grid(), method=method)
         assert len(calls["fit"]) == 1
         assert len(calls["score"]) == 1
         n_rows = len(res.candidates)
         assert n_rows == (154 if method == "sslrcs" else 14)
-        assert calls["score"][0][0].shape[0] == n_rows
+        assert calls["score"][0][0].w.shape[0] == n_rows
 
     def test_only_the_winner_is_built_into_a_model(self, monkeypatch):
         # Candidates are scored as arrays; imputing t_hat for a FittedModel
@@ -468,8 +468,8 @@ class TestSharedSearch:
         # searches do, and sslrcs still selects from its other rows.
         data, weights = make_instance(15, 10, 2, seed=23)
 
-        def fail_zero_gamma(data, weights, gammas, lams, *rest):
-            state = fit_step1_batch(data, weights, gammas, lams, *rest)
+        def fail_zero_gamma(data, weights, gammas, lams):
+            state = fit_step1_batch(data, weights, gammas, lams)
             for b in np.flatnonzero(np.asarray(gammas) == 0.0):
                 state.status[b] = objective_mod._FAILED
             return state
