@@ -76,6 +76,10 @@ COMMANDS = [
     ),
     _select("select-a2-negative-zero", "a2", "--unlabeled", "data/a2_unl.csv",
             "--methods", "sslrcs,lsslr,slr", "--grid-gamma1=-0,0.5"),
+    # -0.3 and -0.4 are grid values whose np.log10(10**v) is not v.
+    _select("select-user-lambda-grid", "a2", "--unlabeled", "data/a2_unl.csv",
+            "--methods", "sslrcs,slr", "--grid-gamma1=0,0.5",
+            "--grid-log10-lambda=-0.3,-0.4,0.5"),
     *_fit_predict("sslrcs", "--gamma1", "0.5", "--log10-lambda", "-1"),
     *_fit_predict("lsslr", "--gamma2", "0.5"),
     *_fit_predict("slr", "--standardize", "--log10-lambda", "0.5"),

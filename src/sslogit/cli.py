@@ -202,8 +202,8 @@ def _load_user_data(
     return data, std, unit_weights(data)
 
 
-def _params_json(p: TuningParams) -> dict:
-    return {"gamma1": p.gamma1, "gamma2": p.gamma2, "log10_lambda": float(np.log10(p.lam))}
+def _params_json(p: TuningParams, grid: Grid) -> dict:
+    return {"gamma1": p.gamma1, "gamma2": p.gamma2, "log10_lambda": grid.log10_lambda(p.lam)}
 
 
 # The select table: one row per (label, cell text of a method's JSON record).
@@ -233,7 +233,7 @@ def cmd_select(args) -> int:
             _, labels = predict(best, data.test_x)
             pes[id(best)] = prediction_error(labels, data.test_y)
         json_methods[m] = {
-            "selected": _params_json(best.params),
+            "selected": _params_json(best.params, grid),
             "gic": report.gic,
             "weighted_nll": report.weighted_nll,
             "trace_term": report.trace_term,
@@ -242,7 +242,7 @@ def cmd_select(args) -> int:
             "coefficients": best.w.tolist(),
             "candidates": [
                 {
-                    **_params_json(c.params),
+                    **_params_json(c.params, grid),
                     "gic": None if c.report is None else c.report.gic,
                     "converged": c.converged,
                     "error": c.error,

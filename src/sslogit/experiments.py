@@ -29,7 +29,7 @@ from .ratios import (
     weights_from_exact,
     weights_from_ulsif,
 )
-from .select import METHODS, WEIGHTED_METHOD, Grid, check_methods, shared_search
+from .select import METHODS, WEIGHTED_METHOD, Grid, check_methods, default_grid, shared_search
 from .select import grid_search  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 SIM1_N_LABELED = (25, 50, 100, 150, 200, 250)
@@ -515,6 +515,7 @@ def run_trials(
         raise ParameterError("n_trials must be positive")
     check_seed(base_seed)
     methods = check_methods(methods)
+    g = grid or default_grid()
     make_data = None if WEIGHTED_METHOD in methods else getattr(experiment, "make_data", None)
     records: list[TrialRecord] = []
 
@@ -535,7 +536,7 @@ def run_trials(
         if data.test_x is None:
             raise ParameterError("experiment trials must carry a test block")
         try:
-            search = shared_search(data, weights, grid, methods)
+            search = shared_search(data, weights, g, methods)
         except SslogitError as exc:
             records.extend(failure(i, seed, m, exc) for m in methods)
             continue
@@ -560,7 +561,7 @@ def run_trials(
                     pe_percent=pe,
                     gamma1=p.gamma1,
                     gamma2=p.gamma2,
-                    log10_lambda=float(np.log10(p.lam)),
+                    log10_lambda=g.log10_lambda(p.lam),
                     gic=sel.best_report.gic,
                     converged=sel.best_model.converged,
                 )

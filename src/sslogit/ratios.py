@@ -6,18 +6,22 @@ form; otherwise it is estimated by a least-squares importance fitting
 procedure with Gaussian kernel centers and closed-form leave-one-out
 selection of the kernel width and ridge amount. Its systems are solved by
 Cholesky factors, and its long sums run in numpy's own loops, so the
-weights carry the same bytes at any BLAS thread count. ulsif_fit checks
-its clip range by UlsifConfig's rule; exact_ratio keeps its own range.
+weights carry the same bytes at any BLAS thread count. The width scan
+writes each width's kernel matrices into one of two reused buffer pairs
+and keeps the pair of the best width so far, so the winner's kernels are
+exponentiated once and serve both the fit and the weights. ulsif_fit
+checks its clip range by UlsifConfig's rule; exact_ratio keeps its own
+range. scipy.linalg and scipy.spatial are imported on the first estimate,
+not with the module: a process that never estimates a ratio loads
+neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.spatial.distance import pdist
 
 from .data import SplitDataset, Seed, derive_seed, make_rng
 from .errors import DataError, NumericalError, ParameterError
@@ -169,6 +173,8 @@ class UlsifModel:
 
 def median_pairwise_distance(x: np.ndarray) -> float:
     """Median Euclidean inter-point distance, the kernel width scale."""
+    from scipy.spatial.distance import pdist
+
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] < 2:
         raise DataError("median distance needs at least two points")
@@ -193,9 +199,12 @@ def _sq_dist(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _kernel(sq: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel matrix exp(-sq / (2 sigma^2)) of the squared distances sq."""
-    return np.exp(-sq / (2.0 * sigma**2))
+def _kernel(sq: np.ndarray, sigma: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gaussian kernel matrix exp(-sq / (2 sigma^2)) of the squared distances
+    sq, written into out when given (out may be sq). Dividing by the negated
+    width gives the bits of -sq / (2 sigma^2): IEEE division is symmetric
+    in sign."""
+    return np.exp(np.divide(sq, -2.0 * sigma**2, out=out), out=out)
 
 
 def _moments(k_nu: np.ndarray, k_de: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +217,8 @@ def _moments(k_nu: np.ndarray, k_de: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _ridge_solve(h_hat: np.ndarray, ridge: float, rhs: np.ndarray):
     """(h_hat + ridge I)^{-1} rhs by one Cholesky factor, or None when the
     system is not positive definite."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     factor, info = dpotrf(h_hat + ridge * np.eye(h_hat.shape[0]), lower=0, clean=0)
     return dpotrs(factor, rhs, lower=0)[0] if info == 0 else None
 
@@ -291,8 +302,14 @@ def _ulsif_fit(
     numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
     seed, ratio_floor, ratio_cap,
 ) -> tuple[UlsifModel, np.ndarray, np.ndarray]:
-    """ulsif_fit, also returning the squared distances of the numerator
-    and the denominator samples to the centers, for _ratio_at."""
+    """ulsif_fit, also returning the kernel matrices of the numerator and
+    the denominator samples at the chosen width, for _clipped_ratio.
+
+    The scan writes each width's two kernel matrices into one of two
+    buffer pairs, (numerator x centers, denominator x centers), and swaps
+    the pairs whenever that width sets a new best score, so the other pair
+    always holds the best width so far. When the sets are too small for
+    leave-one-out, the kept pair is filled at the middle width."""
     x_nu = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
     x_de = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
     if x_nu.shape[0] == 0 or x_de.shape[0] == 0:
@@ -312,20 +329,25 @@ def _ulsif_fit(
     centers = x_nu[rng.choice(x_nu.shape[0], size=b, replace=False)]
 
     sq_nu, sq_de = _sq_dist(x_nu, centers), _sq_dist(x_de, centers)
+    kept = (np.empty_like(sq_nu), np.empty_like(sq_de))  # the best width's kernels
+    work = (np.empty_like(sq_nu), np.empty_like(sq_de))
     best = (np.inf, 0, 0, None)  # (score, sigma index, rho index, moments)
     for i, sigma in enumerate(sigmas):
-        k_nu = _kernel(sq_nu, sigma)
-        k_de = _kernel(sq_de, sigma)
+        k_nu, k_de = _kernel(sq_nu, sigma, work[0]), _kernel(sq_de, sigma, work[1])
         moments = _moments(k_nu, k_de)
-        for j, score in enumerate(_loocv_scores(k_nu, k_de, *moments, rhos)):
-            if score < best[0]:
-                best = (score, i, j, moments)
+        scores = _loocv_scores(k_nu, k_de, *moments, rhos)
+        j = int(np.argmin(scores))  # the first minimum, as a strict < scan keeps
+        if scores[j] < best[0]:
+            best = (scores[j], i, j, moments)
+            kept, work = work, kept
     score, i, j, moments = best
     if moments is None:
         # Degenerate sets (too few points for leave-one-out); take the
         # middle width and the strongest ridge deterministically.
         i, j = len(sigmas) // 2, len(rhos) - 1
-        moments = _moments(_kernel(sq_nu, sigmas[i]), _kernel(sq_de, sigmas[i]))
+        moments = _moments(
+            _kernel(sq_nu, sigmas[i], kept[0]), _kernel(sq_de, sigmas[i], kept[1])
+        )
     sigma, rho = sigmas[i], rhos[j]
 
     h_hat, h_vec = moments
@@ -344,19 +366,19 @@ def _ulsif_fit(
         ratio_floor=ratio_floor,
         ratio_cap=ratio_cap,
     )
-    return model, sq_nu, sq_de
+    return model, kept[0], kept[1]
 
 
 def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the fitted ratio at new points, clipped like exact ratios."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _ratio_at(model, _sq_dist(x, model.centers))
+    sq = _sq_dist(x, model.centers)
+    return _clipped_ratio(model, _kernel(sq, model.sigma, sq))
 
 
-def _ratio_at(model: UlsifModel, sq: np.ndarray) -> np.ndarray:
-    """The clipped ratio at points with squared center distances sq."""
-    raw = _kernel(sq, model.sigma) @ model.alpha
-    return np.clip(raw, model.ratio_floor, model.ratio_cap)
+def _clipped_ratio(model: UlsifModel, k: np.ndarray) -> np.ndarray:
+    """The clipped ratio at points whose kernel matrix at model.sigma is k."""
+    return np.clip(k @ model.alpha, model.ratio_floor, model.ratio_cap)
 
 
 def weights_from_ulsif(
@@ -373,6 +395,10 @@ def weights_from_ulsif(
     are drawn from derive_seed(seed, 1). The ridge grid is
     DEFAULT_RHO_VALUES. s_unlabeled is 1/r at the unlabeled points from
     the same model, clipped like r; it cannot move a fit (see sslogit.em).
+    Both are read from the kernel matrices that the fit's width scan kept
+    in its buffers for the winning width, so the winner's kernels are
+    computed once and ulsif_predict's distances are not built again; the
+    values equal ulsif_predict's bit for bit.
     """
     if data.n_unlabeled == 0:
         raise DataError("ratios require unlabeled data")
@@ -383,14 +409,12 @@ def weights_from_ulsif(
     scale = median_pairwise_distance(pooled)
     sigmas = [f * scale for f in DEFAULT_SIGMA_FACTORS]
 
-    # The fit's own distance matrices: ulsif_predict on the same points
-    # would build them again.
-    r_model, sq_unlabeled, sq_labeled = _ulsif_fit(
+    r_model, k_unlabeled, k_labeled = _ulsif_fit(
         data.unlabeled_x, data.labeled_x, sigmas, DEFAULT_RHO_VALUES,
         derive_seed(seed, 1), config.ratio_floor, config.ratio_cap,
     )
-    r_unlabeled = _ratio_at(r_model, sq_unlabeled)
+    r_unlabeled = _clipped_ratio(r_model, k_unlabeled)
     return RatioWeights(
-        r_labeled=_ratio_at(r_model, sq_labeled),
+        r_labeled=_clipped_ratio(r_model, k_labeled),
         s_unlabeled=np.clip(1.0 / r_unlabeled, config.ratio_floor, config.ratio_cap),
     )

@@ -8,7 +8,8 @@ gamma2 = 0. The search works on arrays: every (gamma1, lambda) cell is one
 row of a single em.fit_step1_batch call, scored by a single
 gic.column_from_fit call that reads its pieces from that batch alone. Each
 lambda is ridge_values(log10 lambda), as in Grid's check and in the
-command line's fit. The baselines are the gamma1 = 0 rows, whose weights
+command line's fit, and printed results name it by the grid value it came
+from (Grid.log10_lambda). The baselines are the gamma1 = 0 rows, whose weights
 r^0 are exactly ones, so one batch serves all three methods (shared_search)
 and each picks its winner from its own slice of rows, built once whichever
 method asks. The winner is the first minimum of (gic, lambda, gamma1, row)
@@ -77,6 +78,14 @@ class Grid:
                 f"log10_lambda_values entries v must give a positive finite 10**v, got {bad[0]}"
             )
         object.__setattr__(self, "log10_lambda_values", logs)
+
+    def log10_lambda(self, lam: float) -> float:
+        """The grid value v that lambda lam came from, ridge_values(v) == lam
+        (the first, if two give one lambda). Results print v, which can
+        differ from np.log10(lam) in the last digit: -0.3, not
+        -0.30000000000000004."""
+        lams = ridge_values(self.log10_lambda_values)
+        return self.log10_lambda_values[int(np.flatnonzero(lams == lam)[0])]
 
 
 def default_grid() -> Grid:

@@ -14,7 +14,6 @@ from scipy.special import expit
 
 import sslogit
 import sslogit.cli as cli_mod
-import sslogit.ratios as ratios_mod
 import sslogit.select as select_mod
 from sslogit.cli import main
 from sslogit.data import make_rng
@@ -250,6 +249,28 @@ class TestFitAtSelection:
             assert json.loads(model.read_text())["coefficients"] == winner["coefficients"], v
         capsys.readouterr()
 
+    @pytest.mark.parametrize("method", ["slr", "sslrcs"])
+    def test_a_user_grid_value_is_echoed_as_given(self, workdir, capsys, method):
+        # np.log10(10**-0.3) is -0.30000000000000004: the JSON must carry
+        # the grid's own values, and fit at the printed one refits the winner.
+        inputs = ["--labeled", str(workdir / "labeled.csv"),
+                  "--unlabeled", str(workdir / "unlabeled.csv")]
+        selection, model = workdir / "select.json", workdir / "model.json"
+        assert main([
+            "select", *inputs, "--methods", method, "--grid-gamma1=0.5",
+            "--grid-log10-lambda=-0.3,-0.4", "--output", str(selection),
+        ]) == 0
+        winner = json.loads(selection.read_text())["methods"][method]
+        assert [c["log10_lambda"] for c in winner["candidates"]] == [-0.3, -0.4]
+        chosen = winner["selected"]
+        assert chosen["log10_lambda"] in (-0.3, -0.4)
+        assert main([
+            "fit", *inputs, "--method", method, f"--gamma1={chosen['gamma1']!r}",
+            f"--log10-lambda={chosen['log10_lambda']!r}", "--model-out", str(model),
+        ]) == 0
+        assert json.loads(model.read_text())["coefficients"] == winner["coefficients"]
+        capsys.readouterr()
+
 
 class TestModelValidation:
     def make_inputs(self, tmp_path):
@@ -461,7 +482,7 @@ class TestSelect:
         assert "grid candidates failed" in capsys.readouterr().err
 
     def test_indefinite_ulsif_system_exits_3(self, workdir, monkeypatch, capsys):
-        monkeypatch.setattr(ratios_mod, "dpotrf", lambda a, **kwargs: (a, 1))
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", lambda a, **kwargs: (a, 1))
         assert main([
             "fit", "--labeled", str(workdir / "labeled.csv"),
             "--unlabeled", str(workdir / "unlabeled.csv"), "--method", "sslrcs",

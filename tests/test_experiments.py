@@ -379,6 +379,13 @@ class TestRunTrials:
             assert summ.mean_log10_lambda == 0.0
             assert summ.mean_gamma1 == 0.0
 
+    def test_records_echo_the_grids_log10_lambda(self):
+        # np.log10(10**-0.3) is -0.30000000000000004.
+        result = run_trials(_ToyExperiment(), methods=("slr",), n_trials=1,
+                            grid=Grid((0.0,), (0.0,), (-0.3,)))
+        assert [r.log10_lambda for r in result.records] == [-0.3]
+        assert result.summary("slr").mean_log10_lambda == -0.3
+
     def test_unknown_method_and_bad_count(self):
         with pytest.raises(ParameterError, match="unknown method"):
             run_trials(_ToyExperiment(), methods=("svm",), n_trials=1)

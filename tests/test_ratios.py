@@ -227,6 +227,24 @@ def loocv_by_refit(k_nu, k_de, rho):
     return total / n
 
 
+class TestKernel:
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 0.7, 1.0, 3.3, 1e4])
+    def test_in_place_kernel_matches_the_plain_formula_bit_for_bit(self, sigma):
+        rng = make_rng(16)
+        sq = np.concatenate([
+            np.zeros(5), np.abs(rng.normal(scale=10.0, size=200)),
+            [1e-300, 5e-324, 1e-10, 1e3, 1e30, 1e300, np.finfo(float).max],
+        ]).reshape(-1, 1)
+        buf, into_sq = np.full_like(sq, np.nan), sq.copy()
+        with np.errstate(over="ignore"):  # the largest distances overflow to -inf
+            expected = np.exp(-sq / (2.0 * sigma**2))
+            assert _kernel(sq, sigma, buf) is buf
+            # Into the distances themselves, as ulsif_predict does.
+            assert _kernel(into_sq, sigma, into_sq) is into_sq
+        assert buf.tobytes() == expected.tobytes()
+        assert into_sq.tobytes() == expected.tobytes()
+
+
 class TestLoocvScore:
     @pytest.mark.parametrize("n_nu,n_de", [(6, 11), (9, 9), (14, 7)])
     @pytest.mark.parametrize("rho", [1e-3, 0.1, 1.0])
@@ -295,7 +313,8 @@ class TestUlsifFit:
         def failing_dpotrf(a, **kwargs):
             return a, 1
 
-        monkeypatch.setattr(ratios_mod, "dpotrf", failing_dpotrf)
+        # _ridge_solve imports dpotrf when it is called.
+        monkeypatch.setattr("scipy.linalg.lapack.dpotrf", failing_dpotrf)
         rng = make_rng(10)
         with pytest.raises(NumericalError, match="not positive definite"):
             ulsif_fit(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)),
@@ -363,24 +382,35 @@ class TestWeightsFromUlsif:
         np.testing.assert_array_equal(a.s_unlabeled, b.s_unlabeled)
 
     def test_one_fit_gives_both_directions(self, monkeypatch):
-        data = make_split(40, 60, 2, seed=13)
         fitted = []
 
         def counting_fit(*args):
             fitted.append(fit(*args))
             return fitted[-1]
 
-        # The fit also hands back its distance matrices, and both ratios are
-        # read from them: they must equal ulsif_predict's bit for bit.
+        # The fit also hands back the kernel matrices of its chosen width,
+        # and both ratios are read from them: they must equal
+        # ulsif_predict's bit for bit. One unlabeled row leaves too few
+        # points for leave-one-out, so that fit falls back to the middle
+        # width and the strongest ridge.
         fit = ratios_mod._ulsif_fit
         monkeypatch.setattr(ratios_mod, "_ulsif_fit", counting_fit)
         cfg = UlsifConfig(ratio_floor=0.7, ratio_cap=1.2)
-        w = weights_from_ulsif(data, cfg, seed=3)
-        assert len(fitted) == 1
-        r_model = fitted[0][0]
-        np.testing.assert_array_equal(w.r_labeled, ulsif_predict(r_model, data.labeled_x))
-        s_expected = np.clip(1.0 / ulsif_predict(r_model, data.unlabeled_x), 0.7, 1.2)
-        np.testing.assert_array_equal(w.s_unlabeled, s_expected)
+        for n0, fallback in ((60, False), (1, True)):
+            data = make_split(40, n0, 2, seed=13)
+            fitted.clear()
+            w = weights_from_ulsif(data, cfg, seed=3)
+            assert len(fitted) == 1
+            r_model = fitted[0][0]
+            assert (r_model.loocv_score == np.inf) == fallback
+            if fallback:
+                factors = ratios_mod.DEFAULT_SIGMA_FACTORS
+                scale = median_pairwise_distance(np.vstack([data.labeled_x, data.unlabeled_x]))
+                assert r_model.sigma == factors[len(factors) // 2] * scale
+                assert r_model.rho == ratios_mod.DEFAULT_RHO_VALUES[-1]
+            np.testing.assert_array_equal(w.r_labeled, ulsif_predict(r_model, data.labeled_x))
+            s_expected = np.clip(1.0 / ulsif_predict(r_model, data.unlabeled_x), 0.7, 1.2)
+            np.testing.assert_array_equal(w.s_unlabeled, s_expected)
 
     @staticmethod
     def median_inputs(monkeypatch, data, seed):
