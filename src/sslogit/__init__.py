@@ -24,9 +24,7 @@ from .objective import (
     TuningParams,
     gradient,
     hessian,
-    loglik_labeled,
     newton_maximize,
-    posterior,
     power_weights,
     weighted_objective,
 )

@@ -8,7 +8,7 @@ adding unlabeled rows never changes the penalty strength.
 
 The objective, its gradient and Hessian, and the damped Newton loop are
 written once, for a batch of B coefficient vectors that share the design
-rows and differ in ridge value, row weights and targets. No row's value
+rows and targets and differ in ridge value and row weights. No row's value
 depends on its batch (see _rowwise): a fit run alone equals its row of a
 whole grid bit for bit. A batch runs in row blocks of bounded size (see
 row_blocks). The batch's state alone decides that a failed row has no fit
@@ -23,6 +23,18 @@ products (_gram). At the final iterate the posterior is reduced to what the
 criterion needs (_curvature) and dropped; gic reads those pieces from the
 state alone. A model scored alone is a batch that takes no step
 (max_iters=0), so its pieces are built by this same code.
+
+A row stops on its Newton decrement (Boyd & Vandenberghe, Convex
+Optimization, 2004, sec. 9.5.1). With g the gradient and delta the step
+the iteration solves for, -(g . delta) = g^T A^-1 g for A the negative
+Hessian, and half of it estimates how far the objective lies below its
+maximum. It does not depend on how w is parametrized, but it scales with
+the objective, and so does the objective's rounding: both grow with the
+row's total weight sum(v). So a row retires as converged, without taking
+that step, once its half decrement is at most DECREMENT_TOL per unit of
+total weight. A problem whose weights and ridge value are scaled by c stops
+at the same iterate, and every step a row does take strictly raises its
+objective.
 """
 
 from __future__ import annotations
@@ -31,16 +43,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import SplitDataset
 from .errors import NumericalError, ParameterError
 from .ratios import RatioWeights
 
-# Newton stopping rules; MAX_HALVINGS bounds each line search.
+# A row converges once its half Newton decrement is at most DECREMENT_TOL
+# times its total weight; MAX_ITERS bounds its steps and MAX_HALVINGS each
+# line search.
 MAX_ITERS = 100
-GRAD_TOL = 1e-8
-OBJ_TOL = 1e-10
+DECREMENT_TOL = 1e-14
 MAX_HALVINGS = 30
 
 
@@ -66,20 +78,12 @@ class NewtonDiagnostics:
     iterations: int
     objective: float
     grad_norm: float
-    status: str  # "converged" | "stalled" | "max-iterations"
-
-
-def posterior(w: np.ndarray, x_star: np.ndarray):
-    """Class-1 probability expit(w . x_star) for one design row or a stack."""
-    z = np.asarray(x_star, dtype=np.float64) @ np.asarray(w, dtype=np.float64)
-    out = expit(z)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def loglik_labeled(w: np.ndarray, design: np.ndarray, y: np.ndarray) -> float:
-    """Unweighted, unpenalized binomial log-likelihood on labeled rows."""
-    w = np.asarray(w, dtype=np.float64)[None]
-    return float(_batch_loglik(w, design, 1.0, y)[0])
+    # "converged": the half Newton decrement fell to DECREMENT_TOL per unit
+    # of total weight.
+    # "stalled": a line search found no improving step while it was larger.
+    # "max-iterations": the step budget ran out first (max_iters=0 included).
+    # "failed": the Newton system could not be solved; the row has no fit.
+    status: str
 
 
 def power_weights(values: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -204,13 +208,8 @@ def _penalized(loglik, w, lams, n1):
     return loglik - 0.5 * n1 * lams * (w[:, 1:] ** 2).sum(axis=1)
 
 
-def _batch_loglik(w, x, v, yt):
-    """Weighted, unpenalized log-likelihood per row."""
-    return _loglik_posterior(w, x, v, yt)[0]
-
-
 def _batch_objective(w, x, v, yt, lams, n1):
-    return _penalized(_batch_loglik(w, x, v, yt), w, lams, n1)
+    return _penalized(_loglik_posterior(w, x, v, yt)[0], w, lams, n1)
 
 
 def _batch_posterior(w, x):
@@ -310,46 +309,24 @@ def _line_search(x, v, yt, lams, n1, w, obj, delta):
     """Damped Newton steps w - 2^-k delta for a block of rows.
 
     Per row, k is the first of 0, 1, ..., MAX_HALVINGS at which the
-    objective is finite and strictly above obj. Returns the stepped rows,
-    their objectives, unpenalized log-likelihoods and posteriors, and the
-    mask of rows that found such a k; a row that found none holds
-    k = MAX_HALVINGS, and its log-likelihood and posterior are not
-    meaningful. The full step keeps its own log-likelihoods and
-    posteriors. The halvings are tried in chunks of doubling length,
-    1 | 2-3 | 4-7 | ..., each chunk one objective call per row block of
-    (row, k) candidates: round-off-level rows use all of them, and one call
-    per halving costs more than the rows it carries. The rows a chunk
-    accepts are evaluated once more for their posteriors. Scaling by 2^-k
-    is exact and no row depends on its batch, so this is halving one k at
-    a time, bit for bit.
+    objective is finite and strictly above obj. Each halving is one
+    evaluation of the rows that still need a step. Returns the stepped
+    rows, their objectives, unpenalized log-likelihoods and posteriors,
+    all from the evaluation that accepted them, and the mask of rows that
+    found such a k; a row that found none holds k = MAX_HALVINGS.
     """
     w_try = w - delta
     loglik_try, pi_try = _loglik_posterior(w_try, x, v, yt)
     obj_try = _penalized(loglik_try, w_try, lams, n1)
     need = ~(np.isfinite(obj_try) & (obj_try > obj))
-    halved = need.copy()
-    lo = 1
-    while lo <= MAX_HALVINGS and need.any():
-        ks = np.arange(lo, min(2 * lo, MAX_HALVINGS + 1))
-        lo *= 2
+    for k in range(1, MAX_HALVINGS + 1):
+        if not need.any():
+            break
         idx = np.flatnonzero(need)
-        rows = np.repeat(idx, ks.size)
-        cand = w[rows] - np.tile(np.ldexp(1.0, -ks), idx.size)[:, None] * delta[rows]
-        cand_obj = np.concatenate([
-            _batch_objective(cand[b], x, v[rows[b]], yt[rows[b]], lams[rows[b]], n1)
-            for b in row_blocks(rows.size, x)
-        ])
-        ok = (np.isfinite(cand_obj) & (cand_obj > obj[rows])).reshape(idx.size, ks.size)
-        found = ok.any(axis=1)
-        pick = np.arange(idx.size) * ks.size + np.where(found, ok.argmax(axis=1), ks.size - 1)
-        w_try[idx] = cand[pick]
-        obj_try[idx] = cand_obj[pick]
-        need[idx] = ~found
-    halved &= ~need
-    if halved.any():
-        loglik_try[halved], pi_try[halved] = _loglik_posterior(
-            w_try[halved], x, v[halved], yt[halved]
-        )
+        w_try[idx] = w[idx] - np.ldexp(1.0, -k) * delta[idx]
+        loglik_try[idx], pi_try[idx] = _loglik_posterior(w_try[idx], x, v[idx], yt)
+        obj_try[idx] = _penalized(loglik_try[idx], w_try[idx], lams[idx], n1)
+        need[idx] = ~(np.isfinite(obj_try[idx]) & (obj_try[idx] > obj[idx]))
     return w_try, obj_try, loglik_try, pi_try, ~need
 
 
@@ -357,21 +334,22 @@ def _newton_batch(x, v, yt, lams, n1, w0, max_iters=None) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
     B candidates, one row block (see row_blocks) at a time.
 
-    Rows differ in ridge value lams (B,) and in weights v and targets yt,
-    each (B, n) or shared (n,). Full steps are halved until the objective
-    strictly increases (see _line_search). Candidates retire independently:
-    small gradient, sub-tolerance improvement, exhausted line search, or a
-    solver failure. At most max_iters steps are taken, MAX_ITERS (read at
-    call time) when None; max_iters=0 evaluates the rows at w0.
+    Rows share the targets yt (n,) and differ in ridge value lams (B,) and
+    in weights v, (B, n) or shared (n,). A row retires as converged once
+    its half Newton decrement is at most DECREMENT_TOL times its total
+    weight, before taking the step (see the module docstring). Otherwise
+    the full step is halved until the objective strictly increases (see
+    _line_search), and a row whose line search finds no such step retires
+    as stalled. A row the solver fails on retires as failed. At most
+    max_iters steps are taken, MAX_ITERS (read at call time) when None;
+    max_iters=0 evaluates the rows at w0.
     """
-    n_batch, n = w0.shape[0], x.shape[0]
-    v = np.broadcast_to(v, (n_batch, n))
-    yt = np.broadcast_to(yt, (n_batch, n))
+    v = np.broadcast_to(v, (w0.shape[0], x.shape[0]))
     xx = _pair_products(x)
     max_iters = MAX_ITERS if max_iters is None else max_iters
     blocks = [
-        _newton_block(x, xx, v[b], yt[b], lams[b], n1, w0[b], max_iters)
-        for b in row_blocks(n_batch, x)
+        _newton_block(x, xx, v[b], yt, lams[b], n1, w0[b], max_iters)
+        for b in row_blocks(w0.shape[0], x)
     ]
     arrays = ("w", "objective", "iterations", "grad_norm", "loglik", "score", "hessian",
               "score_gram")
@@ -393,48 +371,35 @@ def _newton_block(x, xx, v, yt, lams, n1, w0, max_iters) -> _NewtonBatchState:
     loglik, pi = _loglik_posterior(w, x, v, yt)
     obj = _penalized(loglik, w, lams, n1)
     iters = np.zeros(n_batch, dtype=np.int64)
-    failed = np.zeros(n_batch, dtype=bool)
+    weight = v.sum(axis=1)
+    status = np.full(n_batch, "max-iterations", dtype=object)
     active = np.arange(n_batch)
     for _ in range(max_iters):
         if active.size == 0:
             break
-        g = _batch_gradient(pi[active], w[active], x, v[active], yt[active], lams[active], n1)
-        small = np.linalg.norm(g, axis=1) <= GRAD_TOL
-        active = active[~small]
-        if active.size == 0:
-            break
-        g = g[~small]
+        g = _batch_gradient(pi[active], w[active], x, v[active], yt, lams[active], n1)
         h = _batch_hessian(pi[active], x, v[active], lams[active], n1, xx)
-        delta, solve_failed = _batch_solve(h, g)
-        failed[active[solve_failed]] = True
-        active = active[~solve_failed]
-        delta = delta[~solve_failed]
+        delta, failed = _batch_solve(h, g)
+        decrement = -0.5 * (g * delta).sum(axis=1)
+        converged = ~failed & (decrement <= DECREMENT_TOL * weight[active])
+        status[active[failed]] = _FAILED
+        status[active[converged]] = "converged"
+        step = ~(failed | converged)
+        active, delta = active[step], delta[step]
         w_try, obj_try, loglik_try, pi_try, accepted = _line_search(
-            x, v[active], yt[active], lams[active], n1, w[active], obj[active], delta
+            x, v[active], yt, lams[active], n1, w[active], obj[active], delta
         )
         iters[active] += 1
-        improvement = obj_try - obj[active]
-        upd = active[accepted]
-        w[upd] = w_try[accepted]
-        obj[upd] = obj_try[accepted]
-        loglik[upd] = loglik_try[accepted]
-        pi[upd] = pi_try[accepted]
-        active = active[accepted & (improvement > OBJ_TOL)]
-    hit_max = np.isin(np.arange(n_batch), active)
+        status[active[~accepted]] = "stalled"
+        active = active[accepted]
+        w[active] = w_try[accepted]
+        obj[active] = obj_try[accepted]
+        loglik[active] = loglik_try[accepted]
+        pi[active] = pi_try[accepted]
     score, hessian, score_gram = _curvature(pi, x, xx, v, yt, lams, n1)
     grad_norm = np.linalg.norm(_penalized_gradient(score, w, lams, n1), axis=1)
-    status = []
-    for i in range(n_batch):
-        if failed[i]:
-            status.append(_FAILED)
-        elif grad_norm[i] <= GRAD_TOL:
-            status.append("converged")
-        elif hit_max[i]:
-            status.append("max-iterations")
-        else:
-            status.append("stalled")
     return _NewtonBatchState(
-        w, obj, iters, grad_norm, status, loglik, score, hessian, score_gram
+        w, obj, iters, grad_norm, status.tolist(), loglik, score, hessian, score_gram
     )
 
 
@@ -478,7 +443,7 @@ def _batch_of_one(w, data, weights, t, params):
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (x.shape[1],):
         raise ParameterError(f"w has shape {w.shape}, expected ({x.shape[1]},)")
-    return w[None], x, v, yt[None], np.array([params.lam]), data.n_labeled
+    return w[None], x, v, yt, np.array([params.lam]), data.n_labeled
 
 
 def weighted_objective(

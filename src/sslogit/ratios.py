@@ -269,11 +269,6 @@ def _loocv_scores(
     return scores
 
 
-def _loocv_score(k_nu: np.ndarray, k_de: np.ndarray, rho: float) -> float:
-    """The leave-one-out score of one (sigma, rho); see _loocv_scores."""
-    return _loocv_scores(k_nu, k_de, *_moments(k_nu, k_de), [rho])[0]
-
-
 def ulsif_fit(
     numerator_samples: np.ndarray,
     denominator_samples: np.ndarray,

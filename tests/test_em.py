@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import sslogit.objective as objective_mod
 from sslogit.data import SplitDataset, build_design, make_rng
@@ -22,7 +23,6 @@ from sslogit.errors import NumericalError
 from sslogit.objective import (
     TuningParams,
     newton_maximize,
-    posterior,
     weighted_objective,
 )
 from sslogit.ratios import RatioWeights, unit_weights
@@ -105,7 +105,7 @@ class TestEStep:
         data, _, _ = make_instance(4, 6, 2, seed=5)
         w = np.array([0.1, -0.4, 0.8])
         np.testing.assert_array_equal(
-            e_step(w, data), posterior(w, build_design(data.unlabeled_x))
+            e_step(w, data), expit(build_design(data.unlabeled_x) @ w)
         )
 
     def test_no_unlabeled_gives_empty(self):

@@ -35,7 +35,7 @@ from sslogit.experiments import (
     sim2_experiment,
 )
 from sslogit.ratios import unit_weights
-from sslogit.select import METHODS, Grid, grid_search
+from sslogit.select import METHODS, Grid, grid_search, shared_search
 
 ONE_POINT_GRID = Grid((0.0,), (0.0,), (0.0,))
 
@@ -443,6 +443,22 @@ class TestRunTrials:
         )
         with pytest.raises(KeyError):
             result.summary("sslrcs")
+
+
+class TestNewtonStatusOnTheStudies:
+    """The Newton batch stops on its decrement, so rows that reached
+    rounding read converged rather than stalled."""
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [sim1_experiment(25), sim1_experiment(250), sim2_experiment(2)],
+        ids=["sim1-n25", "sim1-n250", "sim2-case2"],
+    )
+    def test_every_default_grid_row_converges(self, experiment):
+        for seed in range(5):
+            data, weights = experiment.make_trial(seed)
+            state = shared_search(data, weights).state
+            assert set(state.status) == {"converged"}, seed
 
 
 def records_by_separate_searches(experiment, methods, n_trials, base_seed, grid):

@@ -13,9 +13,7 @@ from sslogit.objective import (
     TuningParams,
     gradient,
     hessian,
-    loglik_labeled,
     newton_maximize,
-    posterior,
     power_weights,
     solve_newton_system,
     weighted_objective,
@@ -92,18 +90,23 @@ class TestPowerWeights:
             power_weights(np.ones(3), np.array([0.0, 0.5, bad, 1.0]))
 
 
+def posterior(w, x):
+    """The posterior that _loglik_posterior returns for the rows w (B, d)."""
+    return objective_mod._loglik_posterior(w, x, 1.0, np.zeros(x.shape[0]))[1]
+
+
 class TestPosterior:
     def test_zero_coefficients_give_half(self):
         x = build_design(np.array([[1.0, -2.0]]))
-        assert posterior(np.zeros(3), x)[0] == 0.5
+        assert posterior(np.zeros((1, 3)), x)[0, 0] == 0.5
 
     @given(z=st.floats(min_value=-30, max_value=30))
     @settings(max_examples=50, deadline=None)
     def test_sigmoid_symmetry(self, z):
         x = build_design(np.array([[z]]))
-        w = np.array([0.0, 1.0])
-        p_pos = posterior(w, x)[0]
-        p_neg = posterior(-w, x)[0]
+        w = np.array([[0.0, 1.0]])
+        p_pos = posterior(w, x)[0, 0]
+        p_neg = posterior(-w, x)[0, 0]
         assert p_pos == pytest.approx(1.0 - p_neg, abs=1e-12)
 
 
@@ -252,13 +255,14 @@ class TestDerivatives:
 
 class TestLoglikLabeled:
     def test_matches_bernoulli_loop(self):
+        # Unit weights: the plain binomial log-likelihood of the labeled rows.
         data, _, _, _, w = make_instance(9, 5, 2, seed=2)
         x = build_design(data.labeled_x)
         pi = expit(x @ w)
-        want = float(
-            np.sum(data.labeled_y * np.log(pi) + (1 - data.labeled_y) * np.log1p(-pi))
-        )
-        assert loglik_labeled(w, x, data.labeled_y) == pytest.approx(want, rel=1e-10)
+        y = data.labeled_y.astype(np.float64)
+        want = float(np.sum(y * np.log(pi) + (1 - y) * np.log1p(-pi)))
+        loglik, _ = objective_mod._loglik_posterior(w[None], x, 1.0, y)
+        assert loglik[0] == pytest.approx(want, rel=1e-10)
 
 
 class TestSolveNewtonSystem:
@@ -328,6 +332,21 @@ class TestRowBlocks:
         assert all(0 < len(range(n_rows)[b]) <= step for b in blocks)
         assert len(blocks) == -(-n_rows // step)
 
+    def test_no_evaluation_carries_more_than_one_block(self, monkeypatch):
+        rows = []
+        loglik_posterior = objective_mod._loglik_posterior
+
+        def counting(w, *args):
+            rows.append(w.shape[0])
+            return loglik_posterior(w, *args)
+
+        monkeypatch.setattr(objective_mod, "_loglik_posterior", counting)
+        args = newton_instance(2, 250, 3, 40, separable=False)
+        step = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // args[0].size)
+        assert step < 40
+        objective_mod._newton_batch(*args)
+        assert max(rows) == step
+
 
 class TestBatchIndependence:
     """Every row of the batched kernel equals the same row run as a batch of
@@ -339,7 +358,7 @@ class TestBatchIndependence:
         n, d, b = int(rng.integers(5, 120)), int(rng.integers(2, 7)), int(rng.integers(2, 16))
         x = build_design(rng.normal(size=(n, d - 1)))
         v = rng.uniform(0.2, 3.0, n)
-        yt = rng.uniform(0.0, 1.0, (b, n))
+        yt = rng.uniform(0.0, 1.0, n)
         lams = np.power(10.0, rng.uniform(-4.0, 2.5, b))
         w = rng.normal(scale=1.5, size=(b, d))
         n1 = int(rng.integers(1, n + 1))
@@ -347,12 +366,12 @@ class TestBatchIndependence:
         def pieces(rows):
             pi = objective_mod._batch_posterior(w[rows], x)
             return (
-                objective_mod._batch_objective(w[rows], x, v, yt[rows], lams[rows], n1),
+                objective_mod._batch_objective(w[rows], x, v, yt, lams[rows], n1),
                 pi,
-                objective_mod._batch_gradient(pi, w[rows], x, v, yt[rows], lams[rows], n1),
+                objective_mod._batch_gradient(pi, w[rows], x, v, yt, lams[rows], n1),
                 objective_mod._batch_hessian(pi, x, v, lams[rows], n1),
-                objective_mod._batch_score(pi, x, v, yt[rows]),
-                objective_mod._batch_loglik(w[rows], x, v, yt[rows]),
+                objective_mod._batch_score(pi, x, v, yt),
+                objective_mod._loglik_posterior(w[rows], x, v, yt)[0],
             )
 
         batch = pieces(slice(None))
@@ -361,13 +380,11 @@ class TestBatchIndependence:
                 np.testing.assert_array_equal(got[i], want[0])
 
 
-def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta, halvings=None):
-    """The line search as one objective call per halving, the reference
-    that _line_search must equal bit for bit on the rows it accepts. Appends
-    each row's accepted k, or None for a row that exhausted the halvings,
-    to halvings."""
+def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta):
+    """The line search as one objective call per halving on a running step
+    size, the reference that _line_search must equal bit for bit on the
+    rows it accepts."""
     step = np.ones(w.shape[0])
-    k = np.zeros(w.shape[0], dtype=np.int64)
     w_try = w - delta
     obj_try = objective_mod._batch_objective(w_try, x, v, yt, lams, n1)
     need = ~(np.isfinite(obj_try) & (obj_try > obj))
@@ -375,14 +392,11 @@ def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta, halvings=None):
         if not need.any():
             break
         step[need] *= 0.5
-        k[need] += 1
         w_try[need] = w[need] - step[need, None] * delta[need]
         obj_try[need] = objective_mod._batch_objective(
-            w_try[need], x, v[need], yt[need], lams[need], n1
+            w_try[need], x, v[need], yt, lams[need], n1
         )
         need = ~(np.isfinite(obj_try) & (obj_try > obj))
-    if halvings is not None:
-        halvings.extend(None if n else int(j) for j, n in zip(k, need))
     loglik_try, pi_try = objective_mod._loglik_posterior(w_try, x, v, yt)
     return w_try, obj_try, loglik_try, pi_try, ~need
 
@@ -399,6 +413,13 @@ def newton_instance(seed, n, d, b, separable):
     return x, v, y.astype(np.float64), lams, n, np.zeros((b, d))
 
 
+def far_start(args, scale, seed):
+    """args with w0 drawn at the given scale: far out on saturated rows the
+    Hessian is nearly flat and the full Newton step overshoots."""
+    w0 = args[-1]
+    return (*args[:-1], scale * make_rng(seed).normal(size=w0.shape))
+
+
 def newton_state_bytes(args):
     s = objective_mod._newton_batch(*args)
     arrays = (s.w, s.objective, s.iterations, s.grad_norm, s.loglik, s.score, s.hessian,
@@ -407,8 +428,8 @@ def newton_state_bytes(args):
 
 
 class TestChunkedLineSearch:
-    """_line_search tries the halvings in chunks; the Newton states must be
-    those of one halving per objective call."""
+    """_line_search halves each row's step on its own; the Newton states
+    must be those of the reference, which halves a running step size."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -417,83 +438,94 @@ class TestChunkedLineSearch:
         b=st.integers(1, 40),
         separable=st.booleans(),
         max_iters=st.sampled_from([3, 100]),
+        start=st.sampled_from([0.0, 5.0]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_states_equal_one_halving_per_call(self, seed, n, d, b, separable, max_iters):
-        args = newton_instance(seed, n, d, b, separable)
-        with pytest.MonkeyPatch.context() as mp:
+    def test_states_equal_one_halving_per_call(self, seed, n, d, b, separable, max_iters, start):
+        # Full steps from zero are accepted; far starts make the search halve,
+        # and their full steps can overflow the objective, which the search
+        # rejects as non-finite.
+        args = far_start(newton_instance(seed, n, d, b, separable), start, seed)
+        quiet = np.errstate(over="ignore", invalid="ignore") if start else np.errstate()
+        with pytest.MonkeyPatch.context() as mp, quiet:
             mp.setattr(objective_mod, "MAX_ITERS", max_iters)
-            chunked = newton_state_bytes(args)
+            searched = newton_state_bytes(args)
             mp.setattr(objective_mod, "_line_search", line_search_by_halving)
-            assert newton_state_bytes(args) == chunked
+            assert newton_state_bytes(args) == searched
 
-    def test_instances_exhaust_the_halvings_and_accept_inside_chunks(self, monkeypatch):
-        halvings = []
-
-        def recording(*args):
-            return line_search_by_halving(*args, halvings=halvings)
-
-        for seed in range(40):
-            rng = make_rng(seed)
-            n, d, b = int(rng.integers(2, 120)), int(rng.integers(2, 6)), int(rng.integers(1, 40))
-            args = newton_instance(seed, n, d, b, separable=seed % 2 == 1)
-            chunked = newton_state_bytes(args)
-            monkeypatch.setattr(objective_mod, "_line_search", recording)
-            assert newton_state_bytes(args) == chunked
-            monkeypatch.undo()
-        chunk_starts = {0, 1, 2, 4, 8, 16}
-        assert halvings.count(None) > 0
-        assert any(k is not None and k not in chunk_starts for k in halvings)
-        assert any(k is not None and k >= 16 for k in halvings)
-
-    def test_at_most_one_call_per_chunk_within_the_block_budget(self, monkeypatch):
-        # Per Newton step: one evaluation of the full step, at most one
-        # objective call per chunk of halvings, and at most one more
-        # evaluation for the rows a chunk accepted.
-        chunk_rows, rows, per_step, in_chunk = [], [], [[0, 0]], [False]
-        objective = objective_mod._batch_objective
+    def test_one_evaluation_per_halving_of_the_rows_that_need_one(self, monkeypatch):
+        # Per line search: the full step, then one evaluation per halving,
+        # each of the rows that the one before did not accept.
+        per_search, searching = [], [False]
         loglik_posterior = objective_mod._loglik_posterior
         line_search = objective_mod._line_search
 
-        def count_objective(w, *args):
-            rows.append(w.shape[0])
-            chunk_rows.append(w.shape[0])
-            per_step[-1][0] += 1
-            in_chunk[0] = True
-            try:
-                return objective(w, *args)
-            finally:
-                in_chunk[0] = False
-
-        def count_evaluation(w, *args):
-            if not in_chunk[0]:  # the objective evaluates through it too
-                rows.append(w.shape[0])
-                per_step[-1][1] += 1
+        def counting(w, *args):
+            if searching[0]:
+                per_search[-1].append(w.shape[0])
             return loglik_posterior(w, *args)
 
-        def one_step(*args):
-            per_step.append([0, 0])
-            return line_search(*args)
+        def search(*args):
+            per_search.append([])
+            searching[0] = True
+            try:
+                return line_search(*args)
+            finally:
+                searching[0] = False
 
-        monkeypatch.setattr(objective_mod, "_batch_objective", count_objective)
-        monkeypatch.setattr(objective_mod, "_loglik_posterior", count_evaluation)
-        monkeypatch.setattr(objective_mod, "_line_search", one_step)
-        args = newton_instance(2, 250, 3, 40, separable=False)
-        budget = objective_mod.BLOCK_DOUBLES
-        step = max(objective_mod.MIN_BLOCK_ROWS, budget // args[0].size)
-        # As one row block every chunk is one call: the five chunks of 30
-        # halvings, some carrying more rows than a block.
-        monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", 10**9)
-        objective_mod._newton_batch(*args)
-        assert per_step[0] == [0, 1]
-        assert max(chunks for chunks, _ in per_step) == 5
-        assert {evals for _, evals in per_step[1:]} == {1, 2}
-        assert max(chunk_rows) > step
-        # The default budget splits those chunks, so no call passes it.
-        monkeypatch.setattr(objective_mod, "BLOCK_DOUBLES", budget)
-        rows.clear()
-        objective_mod._newton_batch(*args)
-        assert max(rows) == step
+        monkeypatch.setattr(objective_mod, "_loglik_posterior", counting)
+        monkeypatch.setattr(objective_mod, "_line_search", search)
+        for seed in range(10):
+            args = newton_instance(seed, 60, 3, 30, separable=seed % 2 == 1)
+            objective_mod._newton_batch(*far_start(args, 5.0, seed))
+        assert all(len(rows) <= objective_mod.MAX_HALVINGS + 1 for rows in per_search)
+        assert all(rows == sorted(rows, reverse=True) for rows in per_search)
+        assert max(len(rows) for rows in per_search) > 2
+
+
+class TestDecrementStop:
+    """A row retires on its half Newton decrement, before taking that step."""
+
+    def test_a_converged_row_keeps_its_last_iterate(self, monkeypatch):
+        x, v, yt, lams, n1, w0 = newton_instance(7, 80, 4, 20, separable=False)
+        done = objective_mod._newton_batch(x, v, yt, lams, n1, w0)
+        assert set(done.status) == {"converged"}
+        # Capped at the steps they took, the rows end at the same iterates:
+        # the check that retired them took no step.
+        capped = objective_mod._newton_batch(x, v, yt, lams, n1, w0, done.iterations.max())
+        assert capped.w.tobytes() == done.w.tobytes()
+        np.testing.assert_array_equal(capped.iterations, done.iterations)
+        g = objective_mod._penalized_gradient(done.score, done.w, lams, n1)
+        delta = np.linalg.solve(done.hessian, g[..., None])[..., 0]
+        tol = objective_mod.DECREMENT_TOL * v.sum(axis=1)
+        assert np.all(-0.5 * (g * delta).sum(axis=1) <= tol)
+        # Started there, every row stops at once, without a step.
+        again = objective_mod._newton_batch(x, v, yt, lams, n1, done.w)
+        assert again.w.tobytes() == done.w.tobytes()
+        np.testing.assert_array_equal(again.iterations, 0)
+        assert set(again.status) == {"converged"}
+        # A tolerance nothing exceeds stops every row at its start.
+        monkeypatch.setattr(objective_mod, "DECREMENT_TOL", np.inf)
+        start = objective_mod._newton_batch(x, v, yt, lams, n1, w0)
+        assert start.w.tobytes() == w0.tobytes()
+        np.testing.assert_array_equal(start.iterations, 0)
+        assert set(start.status) == {"converged"}
+
+    def test_a_failed_line_search_with_a_large_decrement_stalls(self, monkeypatch):
+        args = far_start(newton_instance(0, 60, 3, 8, separable=False), 10.0, 0)
+        x, v, yt, lams, n1, w0 = args
+        assert "stalled" not in objective_mod._newton_batch(*args).status
+        monkeypatch.setattr(objective_mod, "MAX_HALVINGS", 0)
+        state = objective_mod._newton_batch(*args)
+        assert set(state.status) == {"stalled"}
+        g = objective_mod._penalized_gradient(state.score, state.w, lams, n1)
+        delta = np.linalg.solve(state.hessian, g[..., None])[..., 0]
+        tol = objective_mod.DECREMENT_TOL * v.sum(axis=1)
+        assert np.all(-0.5 * (g * delta).sum(axis=1) > tol)
+        # A row whose first full step failed keeps its start.
+        first = state.iterations == 1
+        assert first.any()
+        assert state.w[first].tobytes() == w0[first].tobytes()
 
 
 class TestEvaluationOnlyBatch:
@@ -508,7 +540,7 @@ class TestEvaluationOnlyBatch:
         np.testing.assert_array_equal(state.iterations, 0)
         assert state.grad_norm.min() > 1.0
         assert set(state.status) == {"max-iterations"}
-        loglik = objective_mod._batch_loglik(w0, x, v, yt)
+        loglik, _ = objective_mod._loglik_posterior(w0, x, v, yt)
         assert state.loglik.tobytes() == loglik.tobytes()
         penalized = objective_mod._penalized(loglik, w0, lams, n1)
         assert state.objective.tobytes() == penalized.tobytes()

@@ -14,7 +14,8 @@ from sslogit.ratios import (
     MEDIAN_POINTS,
     DiagGaussian,
     _kernel,
-    _loocv_score,
+    _loocv_scores,
+    _moments,
     _sq_dist,
     RatioWeights,
     UlsifConfig,
@@ -257,7 +258,8 @@ class TestLoocvScore:
             k_nu = _kernel(_sq_dist(x_nu, centers), sigma)
             k_de = _kernel(_sq_dist(x_de, centers), sigma)
             expected = loocv_by_refit(k_nu, k_de, rho)
-            assert _loocv_score(k_nu, k_de, rho) == pytest.approx(expected, rel=1e-12)
+            (score,) = _loocv_scores(k_nu, k_de, *_moments(k_nu, k_de), [rho])
+            assert score == pytest.approx(expected, rel=1e-12)
 
 
 class TestUlsifFit:
