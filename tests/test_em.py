@@ -430,6 +430,26 @@ class TestBatchedFits:
             assert "max-iterations" in statuses
 
 
+class TestGroupedStep1Batch:
+    def test_grid_state_equals_per_row_calls(self):
+        # fit_step1_batch shares one start per gamma1 among the grid's rows;
+        # every array of its state equals that of the row fitted alone.
+        grid = default_grid()
+        lams = np.power(10.0, np.asarray(grid.log10_lambda_values))
+        gammas = np.repeat(np.asarray(grid.gamma1_values), lams.size)
+        lams = np.tile(lams, len(grid.gamma1_values))
+        for seed in range(3):
+            data, weights, _ = make_instance(30 + 40 * seed, 10, 1 + seed, seed=40 + seed)
+            whole = fit_step1_batch(data, weights, gammas, lams)
+            for i, (gamma1, lam) in enumerate(zip(gammas, lams)):
+                solo = fit_step1_batch(data, weights, float(gamma1), [lam])
+                for name in ("w", "objective", "iterations", "grad_norm", "loglik", "score",
+                             "hessian", "score_gram"):
+                    got, want = getattr(whole, name)[i], getattr(solo, name)[0]
+                    assert got.tobytes() == want.tobytes(), (seed, i, name)
+                assert whole.status[i] == solo.status[0]
+
+
 class TestPredict:
     def test_zero_coefficients_tie_goes_to_class_zero(self):
         model = FittedModel(

@@ -1,5 +1,7 @@
 """Weighted objective, derivatives, and the damped Newton maximizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -553,3 +555,109 @@ class TestEvaluationOnlyBatch:
         assert capped.iterations.max() == 2
         assert "max-iterations" in capped.status
         assert newton_state_bytes(args) == newton_state_bytes((*args, 2))
+
+
+def grouped_instance(seed, n, d, n_groups, n_rows, separable, scale):
+    """Kernel arguments for n_rows rows drawn from n_groups groups, each
+    with its own weights and start (drawn at the given scale), followed by
+    the group of each row."""
+    x, v, yt, _, n1, w0 = newton_instance(seed, n, d, n_groups, separable)
+    rng = make_rng(seed + 1)
+    groups = rng.integers(0, n_groups, n_rows)
+    lams = np.power(10.0, rng.uniform(-6.0, 2.5, n_rows))
+    return x, v, yt, lams, n1, scale * rng.normal(size=w0.shape), groups
+
+
+BATCH_SOLVE = objective_mod._batch_solve
+
+
+def fail_positive_intercept_gradient(h, g):
+    """A _batch_solve that fails every row whose intercept gradient is
+    positive: a decision that reads only the row itself."""
+    delta, failed = BATCH_SOLVE(h, g)
+    failed |= g[:, 0] > 0.0
+    delta[failed] = 0.0
+    return delta, failed
+
+
+class TestGroupedStarts:
+    """A row that starts from its group's weights and start equals the same
+    row given its own copies, bit for bit: grouping only shares work."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 2),
+        n=st.integers(2, 120),
+        d=st.integers(2, 5),
+        n_groups=st.integers(1, 12),
+        n_rows=st.integers(1, 60),
+        separable=st.booleans(),
+        scale=st.sampled_from([0.0, 5.0, 20.0]),
+        max_iters=st.sampled_from([0, 3, None]),
+        fail=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_grouped_rows_equal_ungrouped_rows(
+        self, seed, n, d, n_groups, n_rows, separable, scale, max_iters, fail
+    ):
+        x, v, yt, lams, n1, w0, groups = grouped_instance(
+            seed, n, d, n_groups, n_rows, separable, scale
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            if fail:
+                mp.setattr(objective_mod, "_batch_solve", fail_positive_intercept_gradient)
+            grouped = newton_state_bytes((x, v, yt, lams, n1, w0, max_iters, groups))
+            rows = newton_state_bytes((x, v[groups], yt, lams, n1, w0[groups], max_iters))
+        assert grouped == rows
+
+    def test_a_patched_failure_reaches_grouped_rows(self, monkeypatch):
+        x, v, yt, lams, n1, w0, groups = grouped_instance(3, 60, 3, 4, 30, False, 5.0)
+        monkeypatch.setattr(objective_mod, "_batch_solve", fail_positive_intercept_gradient)
+        state = objective_mod._newton_batch(x, v, yt, lams, n1, w0, None, groups)
+        assert 0 < state.status.count("failed") < len(groups)
+        assert newton_state_bytes((x, v, yt, lams, n1, w0, None, groups)) == newton_state_bytes(
+            (x, v[groups], yt, lams, n1, w0[groups])
+        )
+
+    def test_each_group_start_is_evaluated_once_within_one_block(self, monkeypatch):
+        # 40 groups at n = 250 and d = 3 span two row blocks: the starts are
+        # built in blocks too, one Hessian row per group, and every later
+        # Hessian row is one accepted step.
+        built = []
+        unpenalized_hessian = objective_mod._unpenalized_hessian
+
+        def spy(pi, *args):
+            built.append(pi.shape[0])
+            return unpenalized_hessian(pi, *args)
+
+        monkeypatch.setattr(objective_mod, "_unpenalized_hessian", spy)
+        x, v, yt, lams, n1, w0, groups = grouped_instance(2, 250, 3, 40, 120, False, 0.0)
+        groups[:40] = np.arange(40)
+        block = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // x.size)
+        assert block < 40
+        state = objective_mod._newton_batch(x, v, yt, lams, n1, w0, None, groups)
+        assert built[:2] == [block, 40 - block]
+        assert max(built) == block
+        assert sum(built) == 40 + state.iterations.sum() - state.status.count("stalled")
+
+
+class TestLineSearchWarnings:
+    def test_an_overflowing_full_step_raises_no_warning(self, monkeypatch):
+        # From this far start some full steps overflow the objective; the
+        # search rejects them as non-finite and halves, without a
+        # RuntimeWarning reaching the caller.
+        trials = []
+        trial = objective_mod._trial
+
+        def spy(*args):
+            out = trial(*args)
+            trials.append(np.isfinite(out[2]).all())
+            return out
+
+        monkeypatch.setattr(objective_mod, "_trial", spy)
+        args = far_start(newton_instance(4582, 5, 5, 28, False), 5.0, 4582)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = objective_mod._newton_batch(*args)
+        assert not all(trials)
+        assert np.isfinite(state.objective).all()
+        assert "failed" not in state.status

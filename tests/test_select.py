@@ -299,20 +299,51 @@ class TestRowBlocks:
 
     def test_hessian_rows_stay_within_one_block(self, monkeypatch):
         # At n1 = 250 and two features a 154-row grid runs in blocks of
-        # BLOCK_DOUBLES // (250 * 3) rows, and no Hessian temporary spans more.
+        # BLOCK_DOUBLES // (250 * 3) rows, and no Hessian temporary spans
+        # more: not the 11 group starts, nor any block's accepted steps.
         data, weights = make_instance(250, 20, 2, seed=16)
         rows = []
-        hessian = objective_mod._batch_hessian
+        hessian = objective_mod._unpenalized_hessian
 
         def spy(pi, *args):
             rows.append(pi.shape[0])
             return hessian(pi, *args)
 
-        monkeypatch.setattr(objective_mod, "_batch_hessian", spy)
+        monkeypatch.setattr(objective_mod, "_unpenalized_hessian", spy)
         res = grid_search(data, weights, default_grid(), method="sslrcs")
         block = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // (250 * 3))
         assert block < len(res.candidates) == 154
+        assert rows[0] == len(default_grid().gamma1_values) < block
         assert max(rows) == block
+
+    def test_one_start_per_gamma1_and_one_hessian_per_accepted_step(self, monkeypatch):
+        # The 14 ridge values of one gamma1 share its weights and its start:
+        # power_weights builds one weight row per distinct gamma1, and the
+        # Hessian rows built are the 11 starts plus one per accepted step.
+        data, weights = make_instance(60, 20, 2, seed=17)
+        built = {"weights": 0, "hessian": 0}
+        power = objective_mod.power_weights
+        hessian = objective_mod._unpenalized_hessian
+
+        def power_spy(values, gamma):
+            out = power(values, gamma)
+            built["weights"] += out.size // values.size
+            return out
+
+        def hessian_spy(pi, *args):
+            built["hessian"] += pi.shape[0]
+            return hessian(pi, *args)
+
+        monkeypatch.setattr(objective_mod, "power_weights", power_spy)
+        monkeypatch.setattr(objective_mod, "_unpenalized_hessian", hessian_spy)
+        grid = default_grid()
+        lams = select_mod.ridge_values(grid.log10_lambda_values)
+        gammas = np.repeat(grid.gamma1_values, lams.size)
+        state = fit_step1_batch(data, weights, gammas, np.tile(lams, len(grid.gamma1_values)))
+        accepted = state.iterations.sum() - state.status.count("stalled")
+        assert len(state.status) == 154
+        assert built["weights"] == len(grid.gamma1_values) == 11
+        assert built["hessian"] == 11 + accepted
 
 
 class TestAllCandidatesFailed:
