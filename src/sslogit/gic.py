@@ -12,9 +12,10 @@ share the labeled block, and each has its own ridge value and weights. It
 reads each row's log-likelihood, score, Hessian and score outer-product
 sum from the batch and adds only the ridge term of Q, the scaling by n1
 and the trace: one Cholesky check and one solve over the whole stack. The
-grid search scores the batch that fitted its rows; gic_column scores given
-rows as a batch that takes no Newton step, and the single-model functions
-below are batch-of-one wrappers around it.
+grid search scores the batch that fitted its rows; the single-model
+functions below score one model as a batch of one that takes no Newton
+step (objective._batch_of_one), which equals its row of the batch that
+fitted it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .data import SplitDataset
 from .data import build_design  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .em import FittedModel
 from .errors import NumericalError
-from .objective import TuningParams, _newton_batch, _NewtonBatchState, power_weights
-from .ratios import RatioWeights
+from .objective import TuningParams, _batch_of_one, _newton_batch, _NewtonBatchState
+from .ratios import RatioWeights, unit_weights
 
 
 @dataclass(frozen=True)
@@ -112,22 +113,11 @@ def column_from_fit(fit: _NewtonBatchState, lams: np.ndarray, n1: int) -> GicCol
     return GicColumn(q, r, -2.0 * fit.loglik, _trace_terms(q, r))
 
 
-def gic_column(
-    w: np.ndarray,
-    data: SplitDataset,
-    eta: np.ndarray,
-    lams: np.ndarray,
-) -> GicColumn:
-    """Q, R, weighted NLL and trace term for every row of w (B, d).
-
-    All rows share the labeled block of data; eta holds the per-point
-    weights, shared (n1,) or one row each (B, n1), and lams each row's
-    ridge value. The rows are evaluated as a Newton batch that takes no
-    step, so each equals its row of the batch that fitted it bit for bit.
-    """
-    lams, y = np.asarray(lams, dtype=np.float64), data.labeled_y.astype(np.float64)
-    fit = _newton_batch(data.labeled_design, eta, y, lams, data.n_labeled, w, max_iters=0)
-    return column_from_fit(fit, lams, data.n_labeled)
+def _model_column(model: FittedModel, data: SplitDataset, weights: RatioWeights) -> GicColumn:
+    """column_from_fit of one model, evaluated on the labeled block as a
+    Newton batch that takes no step."""
+    x, v, y, lams, n1, w = _batch_of_one(model.w, data, weights, None, model.params)
+    return column_from_fit(_newton_batch(x, v, y, lams, n1, w, max_iters=0), lams, n1)
 
 
 def gic_matrices(
@@ -136,8 +126,7 @@ def gic_matrices(
     weights: RatioWeights,
 ) -> GicMatrices:
     """Q and R for the weighted fit, averaged over the labeled count."""
-    eta = power_weights(weights.r_labeled, model.params.gamma1)
-    col = gic_column(model.w[None], data, eta, [model.params.lam])
+    col = _model_column(model, data, weights)
     return GicMatrices(q=col.q[0], r=col.r[0])
 
 
@@ -147,15 +136,12 @@ def gic_score(
     weights: RatioWeights,
 ) -> GicReport:
     """Criterion for a density-ratio-weighted semi-supervised fit."""
-    eta = power_weights(weights.r_labeled, model.params.gamma1)
-    col = gic_column(model.w[None], data, eta, [model.params.lam])
-    return col.report(0, model.params)
+    return _model_column(model, data, weights).report(0, model.params)
 
 
 def gic_lsslr(model: FittedModel, data: SplitDataset) -> GicReport:
     """Criterion for the unit-weight semi-supervised fit."""
-    col = gic_column(model.w[None], data, np.ones(data.n_labeled), [model.params.lam])
-    return col.report(0, model.params)
+    return gic_score(model, data, unit_weights(data))
 
 
 # The labeled-only fit is scored by the same unit-weight formula.

@@ -28,8 +28,10 @@ Gram matrices, the Hessian and the score outer products, are one row-wise
 product against the design's pair products (_gram). The posterior is kept
 only as the score weights v (yt - pi), whose squares give the final score
 outer-product sum; gic reads these pieces from the state alone. A model
-scored alone is a batch that takes no step (max_iters=0), so its pieces
-are built by this same code.
+evaluated alone is a batch of one that takes no step (max_iters=0), so
+gradient, hessian and the GIC of one model are built by this same code;
+weighted_objective evaluates that row as the line search evaluates a trial
+point (_trial).
 
 A row stops on its Newton decrement (Boyd & Vandenberghe, Convex
 Optimization, 2004, sec. 9.5.1). With g the gradient and delta the step
@@ -227,14 +229,6 @@ def _penalized(loglik, w, lams, n1):
     return loglik - 0.5 * n1 * lams * (w[:, 1:] ** 2).sum(axis=1)
 
 
-def _batch_objective(w, x, v, yt, lams, n1):
-    return _penalized(_loglik_posterior(w, x, v, yt)[0], w, lams, n1)
-
-
-def _batch_posterior(w, x):
-    return _softplus_posterior(_rowwise(w, x.T))[1]
-
-
 def _score_weights(pi, v, yt):
     """(yt - pi) v per row at the posterior pi (B, n): the score is their
     row-wise product with the design, and the score outer-product sum the
@@ -244,19 +238,10 @@ def _score_weights(pi, v, yt):
     return c
 
 
-def _batch_score(pi, x, v, yt):
-    """Unpenalized gradient per row, at the posterior pi (B, n)."""
-    return _rowwise(_score_weights(pi, v, yt), x)
-
-
 def _penalized_gradient(score, w, lams, n1):
     g = score.copy()
     g[:, 1:] -= (n1 * lams)[:, None] * w[:, 1:]
     return g
-
-
-def _batch_gradient(pi, w, x, v, yt, lams, n1):
-    return _penalized_gradient(_batch_score(pi, x, v, yt), w, lams, n1)
 
 
 _UPPER: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -306,11 +291,6 @@ def _add_ridge(h, lams, n1):
     d = h.shape[-1]
     h.reshape(-1, d * d)[:, d + 1 :: d + 1] -= (n1 * lams)[:, None]
     return h
-
-
-def _batch_hessian(pi, x, v, lams, n1):
-    """Hessian of the objective per row at the posterior pi."""
-    return _add_ridge(_unpenalized_hessian(pi, _pair_products(x), v, x.shape[1]), lams, n1)
 
 
 def _derivatives(pi, x, xx, v, yt):
@@ -506,12 +486,13 @@ def weighted_rows(
 
 
 def _batch_of_one(w, data, weights, t, params):
-    """(w, x, v, yt, lams, n1) for one coefficient vector, as the kernel takes them."""
+    """(x, v, yt, lams, n1, w0) for one coefficient vector, in the order
+    _newton_batch takes them: with max_iters=0 that batch evaluates it."""
     x, v, yt = weighted_rows(data, weights, params.gamma1, params.gamma2, t)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (x.shape[1],):
         raise ParameterError(f"w has shape {w.shape}, expected ({x.shape[1]},)")
-    return w[None], x, v, yt, np.array([params.lam]), data.n_labeled
+    return x, v, yt, np.array([params.lam]), data.n_labeled, w[None]
 
 
 def weighted_objective(
@@ -521,8 +502,13 @@ def weighted_objective(
     t: np.ndarray,
     params: TuningParams,
 ) -> float:
-    """Full objective: weighted labeled fit + weighted soft fit - ridge."""
-    return float(_batch_objective(*_batch_of_one(w, data, weights, t, params))[0])
+    """Full objective: weighted labeled fit + weighted soft fit - ridge.
+
+    Evaluated as the line search evaluates a trial point (_trial), without
+    the derivatives that a batch that takes no step would build.
+    """
+    x, v, yt, lams, n1, w = _batch_of_one(w, data, weights, t, params)
+    return float(_penalized(_loglik_posterior(w, x, v, yt)[0], w, lams, n1)[0])
 
 
 def gradient(
@@ -532,8 +518,9 @@ def gradient(
     t: np.ndarray,
     params: TuningParams,
 ) -> np.ndarray:
-    w, x, v, yt, lams, n1 = _batch_of_one(w, data, weights, t, params)
-    return _batch_gradient(_batch_posterior(w, x), w, x, v, yt, lams, n1)[0]
+    x, v, yt, lams, n1, w = _batch_of_one(w, data, weights, t, params)
+    state = _newton_batch(x, v, yt, lams, n1, w, max_iters=0)
+    return _penalized_gradient(state.score, w, lams, n1)[0]
 
 
 def hessian(
@@ -543,8 +530,7 @@ def hessian(
     t: np.ndarray,
     params: TuningParams,
 ) -> np.ndarray:
-    w, x, v, _, lams, n1 = _batch_of_one(w, data, weights, t, params)
-    return _batch_hessian(_batch_posterior(w, x), x, v, lams, n1)[0]
+    return _newton_batch(*_batch_of_one(w, data, weights, t, params), max_iters=0).hessian[0]
 
 
 def newton_maximize(
@@ -563,6 +549,5 @@ def newton_maximize(
     scale 20, about one row in six ended so (135 of 822); the diagnostics'
     status says when it happens.
     """
-    w, x, v, yt, lams, n1 = _batch_of_one(init, data, weights, t, params)
-    state = _newton_batch(x, v, yt, lams, n1, w)
+    state = _newton_batch(*_batch_of_one(init, data, weights, t, params))
     return state.checked_w(0), state.diagnostics(0)

@@ -83,9 +83,11 @@ class Grid:
         """The grid value v that lambda lam came from, ridge_values(v) == lam
         (the first, if two give one lambda). Results print v, which can
         differ from np.log10(lam) in the last digit: -0.3, not
-        -0.30000000000000004."""
-        lams = ridge_values(self.log10_lambda_values)
-        return self.log10_lambda_values[int(np.flatnonzero(lams == lam)[0])]
+        -0.30000000000000004. ParameterError if no grid value gives lam."""
+        hits = np.flatnonzero(ridge_values(self.log10_lambda_values) == lam)
+        if not hits.size:
+            raise ParameterError(f"lam {lam} is not the ridge value of any grid entry")
+        return self.log10_lambda_values[int(hits[0])]
 
 
 def default_grid() -> Grid:

@@ -6,16 +6,16 @@ from scipy.special import expit
 
 from sslogit.data import SplitDataset, build_design, make_rng
 from sslogit.em import FittedModel, fit_semisupervised
-from sslogit.errors import NumericalError
+from sslogit.errors import NumericalError, ParameterError
 from sslogit.gic import (
     _trace_terms,
-    gic_column,
+    column_from_fit,
     gic_lsslr,
     gic_matrices,
     gic_score,
     gic_slr,
 )
-from sslogit.objective import TuningParams, power_weights
+from sslogit.objective import TuningParams, _newton_batch, power_weights
 from sslogit.ratios import RatioWeights, unit_weights
 
 
@@ -120,6 +120,27 @@ class TestGicMatrices:
         np.testing.assert_array_equal(a.r, b.r)
 
 
+class TestWeightLengths:
+    """Weights of the wrong length are a ParameterError, as in every fit."""
+
+    @pytest.mark.parametrize("fn", [gic_score, gic_matrices])
+    @pytest.mark.parametrize("block", ["r_labeled", "s_unlabeled"])
+    def test_mismatched_weights_rejected(self, fn, block):
+        data, weights = make_instance(12, 6, 2, seed=21)
+        r, s = weights.r_labeled, weights.s_unlabeled
+        bad = RatioWeights(r[:-1], s) if block == "r_labeled" else RatioWeights(r, s[:-1])
+        model = make_model([0.1, 0.4, -0.3], TuningParams(0.5, 0.5, 0.1))
+        with pytest.raises(ParameterError, match=f"{block} length"):
+            fn(model, data, bad)
+
+
+def no_step_column(x_lab, y, eta, lams, w):
+    """column_from_fit of the rows w (B, d) on the labeled block, evaluated
+    as a Newton batch that takes no step."""
+    n1 = x_lab.shape[0]
+    return column_from_fit(_newton_batch(x_lab, eta, y, lams, n1, w, max_iters=0), lams, n1)
+
+
 class TestGicColumn:
     """The batched kernel, row by row, against the per-point oracles."""
 
@@ -135,8 +156,8 @@ class TestGicColumn:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_row_matches_per_point_oracle(self, seed):
-        data, _, w, x_lab, y, eta = self.column_inputs(seed, self.LAMS)
-        col = gic_column(w, data, eta, self.LAMS)
+        _, _, w, x_lab, y, eta = self.column_inputs(seed, self.LAMS)
+        col = no_step_column(x_lab, y, eta, self.LAMS, w)
         for b, lam in enumerate(self.LAMS):
             q_ref, r_ref = matrices_by_loop(w[b], x_lab, y, eta, lam)
             np.testing.assert_allclose(col.q[b], q_ref, rtol=1e-12)
@@ -150,8 +171,8 @@ class TestGicColumn:
     def test_every_row_equals_solo_score(self, seed):
         # Bit for bit: the grid search scores columns, and its selections
         # and printed criteria must not depend on the batch a model sat in.
-        data, weights, w, _, _, eta = self.column_inputs(seed, self.LAMS)
-        col = gic_column(w, data, eta, self.LAMS)
+        data, weights, w, x_lab, y, eta = self.column_inputs(seed, self.LAMS)
+        col = no_step_column(x_lab, y, eta, self.LAMS, w)
         for b, lam in enumerate(self.LAMS):
             params = TuningParams(0.6, 0.3, float(lam))
             assert col.report(b, params) == gic_score(make_model(w[b], params), data, weights)
@@ -160,8 +181,8 @@ class TestGicColumn:
         # A negative ridge value drives one row's R indefinite; the other
         # rows of the column must still score as they do on their own.
         lams = np.array([0.05, -50.0, 1.5])
-        data, weights, w, _, _, eta = self.column_inputs(7, lams)
-        col = gic_column(w, data, eta, lams)
+        data, weights, w, x_lab, y, eta = self.column_inputs(7, lams)
+        col = no_step_column(x_lab, y, eta, lams, w)
         with pytest.raises(NumericalError, match="degenerate information matrix"):
             col.report(1, TuningParams(0.6, 0.3, 1.0))
         for b in (0, 2):
@@ -265,7 +286,9 @@ class TestTraceTerm:
 
     def test_indefinite_matrix_raises(self):
         data, _ = make_instance(12, 4, 2, seed=17)
-        col = gic_column(np.array([[0.1, 0.4, -0.3]]), data, np.ones(12), [-50.0])
+        x_lab, y = build_design(data.labeled_x), data.labeled_y.astype(float)
+        w = np.array([[0.1, 0.4, -0.3]])
+        col = no_step_column(x_lab, y, np.ones(12), np.array([-50.0]), w)
         with pytest.raises(NumericalError, match="degenerate information matrix"):
             col.report(0, TuningParams(0.0, 0.0, 1.0))
 

@@ -314,6 +314,27 @@ class TestNewton:
         w_hat, _ = newton_maximize(np.zeros(3), data, weights, t, params)
         assert np.linalg.norm(gradient(w_hat, data, weights, t, params)) <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_diagnostics_equal_a_fresh_evaluation_at_the_fit(self, seed):
+        # Bit for bit: the fit keeps the objective and the score of the
+        # line search evaluation that accepted it, and weighted_objective
+        # and gradient evaluate the returned w afresh.
+        rng = make_rng(9000 + seed)
+        n1, n0, p = int(rng.integers(4, 40)), int(rng.integers(0, 30)), int(rng.integers(1, 5))
+        lam = rng.uniform(0.01, 2.0)
+        data, weights, t, params, w = make_instance(n1, n0, p, seed=seed, lam=lam)
+        start = w * rng.uniform(0.0, 3.0)
+        w_hat, diag = newton_maximize(start, data, weights, t, params)
+        assert diag.objective == weighted_objective(w_hat, data, weights, t, params)
+        g = gradient(w_hat, data, weights, t, params)
+        # The kernel takes the norm of a (1, d) stack, which can round
+        # differently from np.linalg.norm of the vector.
+        assert diag.grad_norm == np.linalg.norm(g[None], axis=1)[0]
+        x, v, yt, lams, n1, w0 = objective_mod._batch_of_one(start, data, weights, t, params)
+        state = objective_mod._newton_batch(x, v, yt, lams, n1, w0)
+        kernel_g = objective_mod._penalized_gradient(state.score, state.w, lams, n1)[0]
+        assert kernel_g.tobytes() == g.tobytes()
+
     def test_iteration_cap_respected(self, monkeypatch):
         data, weights, t, params, _ = make_instance(10, 5, 2, seed=9)
         monkeypatch.setattr(objective_mod, "MAX_ITERS", 1)
@@ -366,14 +387,15 @@ class TestBatchIndependence:
         n1 = int(rng.integers(1, n + 1))
 
         def pieces(rows):
-            pi = objective_mod._batch_posterior(w[rows], x)
+            state = objective_mod._newton_batch(x, v, yt, lams[rows], n1, w[rows], max_iters=0)
             return (
-                objective_mod._batch_objective(w[rows], x, v, yt, lams[rows], n1),
-                pi,
-                objective_mod._batch_gradient(pi, w[rows], x, v, yt, lams[rows], n1),
-                objective_mod._batch_hessian(pi, x, v, lams[rows], n1),
-                objective_mod._batch_score(pi, x, v, yt),
-                objective_mod._loglik_posterior(w[rows], x, v, yt)[0],
+                state.objective,
+                state.loglik,
+                state.score,
+                state.hessian,
+                state.score_gram,
+                state.grad_norm,
+                objective_mod._loglik_posterior(w[rows], x, v, yt)[1],
             )
 
         batch = pieces(slice(None))
@@ -382,22 +404,25 @@ class TestBatchIndependence:
                 np.testing.assert_array_equal(got[i], want[0])
 
 
+def penalized_objective(w, x, v, yt, lams, n1):
+    loglik = objective_mod._loglik_posterior(w, x, v, yt)[0]
+    return objective_mod._penalized(loglik, w, lams, n1)
+
+
 def line_search_by_halving(x, v, yt, lams, n1, w, obj, delta):
     """The line search as one objective call per halving on a running step
     size, the reference that _line_search must equal bit for bit on the
     rows it accepts."""
     step = np.ones(w.shape[0])
     w_try = w - delta
-    obj_try = objective_mod._batch_objective(w_try, x, v, yt, lams, n1)
+    obj_try = penalized_objective(w_try, x, v, yt, lams, n1)
     need = ~(np.isfinite(obj_try) & (obj_try > obj))
     for _ in range(objective_mod.MAX_HALVINGS):
         if not need.any():
             break
         step[need] *= 0.5
         w_try[need] = w[need] - step[need, None] * delta[need]
-        obj_try[need] = objective_mod._batch_objective(
-            w_try[need], x, v[need], yt, lams[need], n1
-        )
+        obj_try[need] = penalized_objective(w_try[need], x, v[need], yt, lams[need], n1)
         need = ~(np.isfinite(obj_try) & (obj_try > obj))
     loglik_try, pi_try = objective_mod._loglik_posterior(w_try, x, v, yt)
     return w_try, obj_try, loglik_try, pi_try, ~need

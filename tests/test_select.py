@@ -14,7 +14,7 @@ from sslogit.data import SplitDataset, make_rng
 import sslogit.gic as gic_mod
 from sslogit.em import e_step, fit_semisupervised, fit_step1_batch
 from sslogit.errors import NumericalError, ParameterError
-from sslogit.gic import gic_column, gic_lsslr, gic_score, gic_slr
+from sslogit.gic import column_from_fit, gic_lsslr, gic_score, gic_slr
 from sslogit.objective import TuningParams, power_weights
 from sslogit.ratios import RatioWeights, unit_weights
 from sslogit.select import CandidateRecord, Grid, default_grid, grid_search, shared_search
@@ -72,6 +72,10 @@ class TestGrid:
         # 10**v must be a positive finite double: 10**309 is inf, 10**-324 is 0.
         with pytest.raises(ParameterError, match="log10_lambda_values"):
             Grid((0.0,), (0.0,), (0.0, exponent))
+
+    def test_log10_lambda_off_the_grid_raises(self):
+        with pytest.raises(ParameterError, match="lam 0.3 "):
+            default_grid().log10_lambda(0.3)
 
 
 class TestGridSearch:
@@ -541,7 +545,10 @@ class TestLazyRecords:
         lams = np.tile(np.power(10.0, grid.log10_lambda_values), 3)
         eta = power_weights(weights.r_labeled, gammas)
         state = fit_step1_batch(data, weights, gammas, lams)
-        col = gic_column(state.w, data, eta, lams)
+        x_lab, y, n1 = data.labeled_design, data.labeled_y.astype(float), data.n_labeled
+        col = column_from_fit(
+            objective_mod._newton_batch(x_lab, eta, y, lams, n1, state.w, max_iters=0), lams, n1
+        )
         eager = []
         for b in range(gammas.size):
             params = TuningParams(float(gammas[b]), 0.0, float(lams[b]))
