@@ -81,9 +81,9 @@ def m_step(
 ) -> np.ndarray:
     """Refit the full weighted objective at fixed targets, warm-started.
 
-    A warm start far from the optimum can leave the Newton row "stalled"
-    short of it (see objective.newton_maximize), and this returns its
-    last iterate without saying so.
+    A warm start far from the optimum can, rarely, leave the Newton row
+    "stalled" short of it (see objective.newton_maximize), and this
+    returns its last iterate without saying so.
     """
     return newton_maximize(w_init, data, weights, t_hat, params)[0]
 

@@ -154,9 +154,6 @@ class Sim2Config:
 
 def _sample_mix(mix: _MixSpec, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """Equal-probability mixture over (mean, var) components, per point."""
-    if len(mix) == 1:
-        mu, var = mix[0]
-        return rng.normal(mu, math.sqrt(var), size=(n, p))
     comp = rng.integers(0, len(mix), size=n)
     params = np.asarray(mix)  # (k, 2)
     mu = params[comp, 0][:, None]

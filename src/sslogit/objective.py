@@ -8,11 +8,12 @@ adding unlabeled rows never changes the penalty strength.
 
 The objective, its gradient and Hessian, and the damped Newton loop are
 written once, for a batch of B coefficient vectors that share the design
-rows and targets and differ in ridge value and row weights. No row's value
+rows and targets and differ in ridge value and row weights. A batch is
+one Newton loop over all its rows, which retire one by one. No row's value
 depends on its batch (see _rowwise): a fit run alone equals its row of a
-whole grid bit for bit. A batch runs in row blocks of bounded size (see
-row_blocks). The batch's state alone decides that a failed row has no fit
-and why (_NewtonBatchState.error); every caller reads that text from it.
+whole grid bit for bit. The batch's state alone decides that a failed row
+has no fit and why (_NewtonBatchState.error); every caller reads that text
+from it.
 
 Rows may share a start: rows of one group share their weights and their
 start coefficients, and the start is evaluated once per group. The grid
@@ -59,10 +60,11 @@ from .ratios import RatioWeights
 
 # A row converges once its half Newton decrement is at most DECREMENT_TOL
 # times its total weight; MAX_ITERS bounds its steps and MAX_HALVINGS each
-# line search.
+# line search. 2^-1074 is the smallest positive double, so the search tries
+# every step size that can still move w.
 MAX_ITERS = 100
 DECREMENT_TOL = 1e-14
-MAX_HALVINGS = 30
+MAX_HALVINGS = 1074
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,12 @@ def solve_newton_system(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel: B coefficient rows share one design, in row blocks
+# Batched kernel: B coefficient rows share one design
 # ---------------------------------------------------------------------------
 
 _FAILED = "failed"
-# Row statuses (see NewtonDiagnostics.status): a block holds each row's as
-# its index here and names it once, when the block ends.
+# Row statuses (see NewtonDiagnostics.status): a batch holds each row's as
+# its index here and names it once, when the batch ends.
 _STATUSES = ("max-iterations", "converged", "stalled", _FAILED)
 _MAX_ITERATIONS, _CONVERGED, _STALLED, _FAILED_INDEX = range(len(_STATUSES))
 
@@ -166,20 +168,6 @@ class _NewtonBatchState:
             grad_norm=float(self.grad_norm[i]),
             status=self.status[i],
         )
-
-
-# Rows per kernel block: BLOCK_DOUBLES // (n * d), at least MIN_BLOCK_ROWS.
-# As one block, a 154-row grid at n = 250 holds about 2 MB of temporaries
-# per Newton step, past a core's L2 cache, and the allocator faults those
-# pages in again at each step. Rows are independent, so no bit depends on it.
-BLOCK_DOUBLES = 24_000
-MIN_BLOCK_ROWS = 16
-
-
-def row_blocks(n_rows: int, x: np.ndarray) -> list[slice]:
-    """Slices covering range(n_rows) in blocks sized for the design x (n, d)."""
-    step = max(MIN_BLOCK_ROWS, BLOCK_DOUBLES // x.size)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _rowwise(a, m):
@@ -333,7 +321,7 @@ def _trial(w, x, v, yt, lams, n1):
 
 
 def _line_search(x, v, yt, lams, n1, w, obj, delta):
-    """Damped Newton steps w - 2^-k delta for a block of rows.
+    """Damped Newton steps w - 2^-k delta for a batch of rows.
 
     Per row, k is the first of 0, 1, ..., MAX_HALVINGS at which the
     objective is finite and strictly above obj. Each halving is one
@@ -365,14 +353,20 @@ def _evaluate(w, x, xx, v, yt):
 
 def _newton_batch(x, v, yt, lams, n1, w0, max_iters=None, groups=None) -> _NewtonBatchState:
     """Maximize the objective at fixed targets by damped Newton steps, for
-    B candidates, one row block (see row_blocks) at a time.
+    B candidates at once.
 
     Rows share the targets yt (n,) and differ in ridge value lams (B,) and
     in their group: row b starts at w0[groups[b]] with weights
     v[groups[b]], for w0 (G, d) and v (G, n) or shared (n,). groups=None
     makes each row its own group (G = B). Each group's start is evaluated
-    once, in row blocks, and its rows gather it: its log-likelihood, its
-    score weights and its unpenalized score and Hessian.
+    once, and its rows gather it: its log-likelihood, its score weights and
+    its unpenalized score and Hessian.
+
+    Each row holds its unpenalized score and Hessian at its iterate, built
+    once from the posterior of the evaluation that accepted it; an
+    iteration adds only the ridge, and the final state reuses them. The
+    posterior itself is reduced to the score weights, whose squares give
+    the final score outer-product sum.
 
     A row retires as converged once its half Newton decrement is at most
     DECREMENT_TOL times its total weight, before taking the step (see the
@@ -387,38 +381,12 @@ def _newton_batch(x, v, yt, lams, n1, w0, max_iters=None, groups=None) -> _Newto
     groups = np.arange(w0.shape[0]) if groups is None else groups
     v = np.broadcast_to(v, (w0.shape[0], x.shape[0]))
     xx = _pair_products(x)
-    parts = [_evaluate(w0[b], x, xx, v[b], yt) for b in row_blocks(w0.shape[0], x)]
-    start = (w0, *(np.concatenate(p) for p in zip(*parts)), v.sum(axis=1))
-    blocks = [
-        _newton_block(x, xx, v, yt, lams[b], n1, start, groups[b], max_iters)
-        for b in row_blocks(lams.size, x)
-    ]
-    arrays = ("w", "objective", "iterations", "grad_norm", "loglik", "score", "hessian",
-              "score_gram")
-    return _NewtonBatchState(
-        **{name: np.concatenate([getattr(s, name) for s in blocks]) for name in arrays},
-        status=[status for s in blocks for status in s.status],
-    )
-
-
-def _newton_block(x, xx, v, yt, lams, n1, start, rows, max_iters) -> _NewtonBatchState:
-    """_newton_batch on one block of rows, from the groups' start
-    (w0, loglik, score weights, score, Hessian, total weight) and the
-    rows' group indices; xx = _pair_products(x), v (G, n).
-
-    Each row holds its unpenalized score and Hessian at its iterate, built
-    once from the posterior of the evaluation that accepted it; an
-    iteration adds only the ridge, and the final state reuses them. The
-    posterior itself is reduced to the score weights, whose squares give
-    the final score outer-product sum.
-    """
-    w0, loglik0, c0, score0, hess0, weight0 = start
-    w, loglik, c, score, hess = (a[rows] for a in (w0, loglik0, c0, score0, hess0))
-    weight = weight0[rows]
+    start = (w0, *_evaluate(w0, x, xx, v, yt), v.sum(axis=1))
+    w, loglik, c, score, hess, weight = (a[groups] for a in start)
     obj = _penalized(loglik, w, lams, n1)
-    iters = np.zeros(rows.size, dtype=np.int64)
-    status = np.full(rows.size, _MAX_ITERATIONS, dtype=np.int8)
-    active = np.arange(rows.size)
+    iters = np.zeros(groups.size, dtype=np.int64)
+    status = np.full(groups.size, _MAX_ITERATIONS, dtype=np.int8)
+    active = np.arange(groups.size)
     for _ in range(max_iters):
         if active.size == 0:
             break
@@ -432,7 +400,7 @@ def _newton_block(x, xx, v, yt, lams, n1, start, rows, max_iters) -> _NewtonBatc
             status[active[failed]] = _FAILED_INDEX
             status[active[converged]] = _CONVERGED
             active, w_a, lams_a, delta = active[step], w_a[step], lams_a[step], delta[step]
-        v_a = v[rows[active]]
+        v_a = v[groups[active]]
         w_a, obj_a, loglik_a, pi_a, accepted = _line_search(
             x, v_a, yt, lams_a, n1, w_a, obj[active], delta
         )
@@ -543,11 +511,12 @@ def newton_maximize(
     """Maximize the objective at fixed targets t from init.
 
     Every fit in this package starts from zero. A start far from the
-    optimum can end "stalled": where the Hessian is nearly flat the full
-    step is huge, and MAX_HALVINGS halvings do not bring it to an
-    improving step. On random problems started from coefficients drawn at
-    scale 20, about one row in six ended so (135 of 822); the diagnostics'
-    status says when it happens.
+    optimum, where the Hessian is nearly flat, makes the full step huge,
+    and the line search halves it until the objective improves. On random
+    problems started from coefficients drawn at scale 20, about one row in
+    six needs more than 30 halvings (144 of 842), and every row finds its
+    step within MAX_HALVINGS. A row still stalls once no representable
+    step improves it; the diagnostics' status says when it happens.
     """
     state = _newton_batch(*_batch_of_one(init, data, weights, t, params))
     return state.checked_w(0), state.diagnostics(0)

@@ -343,34 +343,6 @@ class TestNewton:
         assert diag.iterations <= 1
 
 
-class TestRowBlocks:
-    @pytest.mark.parametrize("n, d", [(25, 3), (250, 3), (2000, 4), (10000, 11)])
-    @pytest.mark.parametrize("n_rows", [1, 14, 154])
-    def test_blocks_cover_the_rows_in_order(self, n, d, n_rows):
-        x = np.ones((n, d))
-        step = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // x.size)
-        blocks = objective_mod.row_blocks(n_rows, x)
-        covered = np.concatenate([np.arange(n_rows)[b] for b in blocks])
-        np.testing.assert_array_equal(covered, np.arange(n_rows))
-        assert all(0 < len(range(n_rows)[b]) <= step for b in blocks)
-        assert len(blocks) == -(-n_rows // step)
-
-    def test_no_evaluation_carries_more_than_one_block(self, monkeypatch):
-        rows = []
-        loglik_posterior = objective_mod._loglik_posterior
-
-        def counting(w, *args):
-            rows.append(w.shape[0])
-            return loglik_posterior(w, *args)
-
-        monkeypatch.setattr(objective_mod, "_loglik_posterior", counting)
-        args = newton_instance(2, 250, 3, 40, separable=False)
-        step = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // args[0].size)
-        assert step < 40
-        objective_mod._newton_batch(*args)
-        assert max(rows) == step
-
-
 class TestBatchIndependence:
     """Every row of the batched kernel equals the same row run as a batch of
     one, bit for bit, so a fit or a score never depends on its batch."""
@@ -555,6 +527,22 @@ class TestDecrementStop:
         assert state.w[first].tobytes() == w0[first].tobytes()
 
 
+class TestFarStarts:
+    """From a far start the full step can be huge; the line search halves
+    it down to the smallest positive step size before a row stalls."""
+
+    def test_the_last_halving_is_the_smallest_positive_double(self):
+        assert np.ldexp(1.0, -objective_mod.MAX_HALVINGS) == np.nextafter(0.0, 1.0)
+
+    @pytest.mark.parametrize("seed, n, d, b", [(14, 19, 5, 27), (25, 62, 2, 35), (30, 14, 2, 31)])
+    def test_far_starts_converge_where_30_halvings_stall(self, monkeypatch, seed, n, d, b):
+        args = far_start(newton_instance(seed, n, d, b, seed % 2 == 1), 20.0, seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert set(objective_mod._newton_batch(*args).status) == {"converged"}
+            monkeypatch.setattr(objective_mod, "MAX_HALVINGS", 30)
+            assert "stalled" in objective_mod._newton_batch(*args).status
+
+
 class TestEvaluationOnlyBatch:
     """max_iters=0 evaluates the rows at w0: gic scores a model alone this way."""
 
@@ -643,9 +631,8 @@ class TestGroupedStarts:
             (x, v[groups], yt, lams, n1, w0[groups])
         )
 
-    def test_each_group_start_is_evaluated_once_within_one_block(self, monkeypatch):
-        # 40 groups at n = 250 and d = 3 span two row blocks: the starts are
-        # built in blocks too, one Hessian row per group, and every later
+    def test_each_group_start_is_evaluated_once(self, monkeypatch):
+        # The first Hessian built holds one row per group, and every later
         # Hessian row is one accepted step.
         built = []
         unpenalized_hessian = objective_mod._unpenalized_hessian
@@ -657,11 +644,8 @@ class TestGroupedStarts:
         monkeypatch.setattr(objective_mod, "_unpenalized_hessian", spy)
         x, v, yt, lams, n1, w0, groups = grouped_instance(2, 250, 3, 40, 120, False, 0.0)
         groups[:40] = np.arange(40)
-        block = max(objective_mod.MIN_BLOCK_ROWS, objective_mod.BLOCK_DOUBLES // x.size)
-        assert block < 40
         state = objective_mod._newton_batch(x, v, yt, lams, n1, w0, None, groups)
-        assert built[:2] == [block, 40 - block]
-        assert max(built) == block
+        assert built[0] == 40
         assert sum(built) == 40 + state.iterations.sum() - state.status.count("stalled")
 
 
