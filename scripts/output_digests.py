@@ -31,8 +31,12 @@ import warnings
 from pathlib import Path
 
 # Inputs: (name, labeled rows, unlabeled rows, test rows, features, seed).
-# b10 pools more than 1,000 rows, so uLSIF's median heuristic subsamples.
-DATASETS = (("a2", 40, 60, 50, 2, 11), ("b10", 120, 1000, 200, 10, 12))
+# b10 pools more than 1,000 rows, so uLSIF's median heuristic subsamples;
+# c3 has more labeled rows than one of uLSIF's 512-row blocks.
+DATASETS = (
+    ("a2", 40, 60, 50, 2, 11), ("b10", 120, 1000, 200, 10, 12),
+    ("c3", 700, 1600, 100, 3, 13),
+)
 
 
 def _select(name, data, *flags):
@@ -80,6 +84,11 @@ COMMANDS = [
     _select("select-user-lambda-grid", "a2", "--unlabeled", "data/a2_unl.csv",
             "--methods", "sslrcs,slr", "--grid-gamma1=0,0.5",
             "--grid-log10-lambda=-0.3,-0.4,0.5"),
+    _select("select-c3-sslrcs", "c3", "--unlabeled", "data/c3_unl.csv"),
+    ("fit-c3-sslrcs", ["fit", "--labeled", "data/c3_lab.csv", "--unlabeled", "data/c3_unl.csv",
+                       "--method", "sslrcs", "--gamma1", "0.5", "--log10-lambda", "-1",
+                       "--model-out", "out/model-c3-sslrcs.json"],
+     ["out/model-c3-sslrcs.json"]),
     *_fit_predict("sslrcs", "--gamma1", "0.5", "--log10-lambda", "-1"),
     *_fit_predict("lsslr", "--gamma2", "0.5"),
     *_fit_predict("slr", "--standardize", "--log10-lambda", "0.5"),

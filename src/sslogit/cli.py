@@ -50,6 +50,8 @@ from .select import default_grid, ridge_values, shared_search
 DATA_DIR_ENV = "SSLOGIT_DATA_DIR"
 MODEL_FORMAT = "sslogit-model"
 MODEL_VERSION = 1
+# predict formats and writes its rows this many at a time.
+_PREDICT_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,15 +374,22 @@ def cmd_predict(args) -> int:
     # predict reads the coefficients alone; the saved fit details are not loaded.
     model = FittedModel(w, None, None, None, None, None, None)
     probs, labels = predict(model, x)
-    rows = map("{!r},{}\n".format, probs.tolist(), labels.tolist())
-    text = "probability,label\n" + "".join(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_predictions(fh, probs, labels)
         print(f"wrote {args.output} ({len(probs)} rows)")
     else:
-        sys.stdout.write(text)
+        _write_predictions(sys.stdout, probs, labels)
     return 0
+
+
+def _write_predictions(fh, probs: np.ndarray, labels: np.ndarray) -> None:
+    """The predictions CSV, formatted and written _PREDICT_BLOCK_ROWS rows at
+    a time, so its text never holds more than one block."""
+    fh.write("probability,label\n")
+    for i in range(0, len(probs), _PREDICT_BLOCK_ROWS):
+        block = slice(i, i + _PREDICT_BLOCK_ROWS)
+        fh.write("".join(map("{!r},{}\n".format, probs[block].tolist(), labels[block].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ form; otherwise it is estimated by a least-squares importance fitting
 procedure with Gaussian kernel centers and closed-form leave-one-out
 selection of the kernel width and ridge amount. Its systems are solved by
 Cholesky factors, and its long sums run in numpy's own loops, so the
-weights carry the same bytes at any BLAS thread count. The width scan
-writes each width's kernel matrices into one of two reused buffer pairs
-and keeps the pair of the best width so far, so the winner's kernels are
-exponentiated once and serve both the fit and the weights. ulsif_fit
-checks its clip range by UlsifConfig's rule; exact_ratio keeps its own
-range. scipy.linalg and scipy.spatial are imported on the first estimate,
-not with the module: a process that never estimates a ratio loads
-neither.
+weights carry the same bytes at any BLAS thread count. The fit reads
+its numerator (unlabeled) rows, and ulsif_predict its points, in blocks
+of _BLOCK_ROWS, so their memory is O((block + n_labeled) x centers),
+with no term in the number of unlabeled rows, and the blocks give the
+bits of the whole-matrix algebra; the ratio at the unlabeled rows is
+one blocked pass after the width is chosen, which repeats one exp at
+that width. ulsif_fit checks its clip range by UlsifConfig's rule;
+exact_ratio keeps its own range. scipy.linalg and scipy.spatial are
+imported on the first estimate, not with the module: a process that
+never estimates a ratio loads neither.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ DEFAULT_MAX_CENTERS = 100
 # The kernel width scale is the median distance over at most this many
 # seeded pooled rows (Garreau, Jitkrittum & Kanagawa 2017).
 MEDIAN_POINTS = 1000
+# uLSIF reads its numerator rows, and ulsif_predict its points, in blocks
+# of this many rows, so its memory does not grow with their count.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -207,11 +212,39 @@ def _kernel(sq: np.ndarray, sigma: float, out: Optional[np.ndarray] = None) -> n
     return np.exp(np.divide(sq, -2.0 * sigma**2, out=out), out=out)
 
 
-def _moments(k_nu: np.ndarray, k_de: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H = k_de^T k_de / n_de and h = the mean row of k_nu. H is summed by
-    numpy's own loop: unlike a threaded BLAS product, its summation order
-    does not depend on the thread count."""
-    return np.einsum("ij,ik->jk", k_de, k_de) / k_de.shape[0], k_nu.mean(axis=0)
+def _gram(k_de: np.ndarray) -> np.ndarray:
+    """H = k_de^T k_de / n_de, summed by numpy's own loop: unlike a threaded
+    BLAS product, its summation order does not depend on the thread count."""
+    return np.einsum("ij,ik->jk", k_de, k_de) / k_de.shape[0]
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices of _BLOCK_ROWS consecutive rows that cover range(n); the last
+    is shorter, or one row longer rather than one row alone. A product of
+    one row goes to another BLAS routine, whose sums differ from those of
+    the same row in a larger product."""
+    edges = [*range(0, max(n - 1, 1), _BLOCK_ROWS), n]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _kernel_column_sums(x: np.ndarray, centers: np.ndarray, sigmas: list[float]) -> np.ndarray:
+    """Column sums of each width's kernel matrix of x against centers, shape
+    (len(sigmas), b), reading x _BLOCK_ROWS rows at a time. Each block's
+    distances are built once, and each width's kernel of the block goes
+    into rows 1.. of one buffer whose row 0 holds that width's running
+    sum, so np.add.reduce continues the row-by-row sum that the whole
+    kernel's sum(axis=0) makes: numpy sums a non-contiguous axis one row
+    at a time."""
+    sums = np.zeros((len(sigmas), centers.shape[0]))
+    buf = np.empty((min(_BLOCK_ROWS + 1, x.shape[0]) + 1, centers.shape[0]))
+    for rows in _blocks(x.shape[0]):
+        sq = _sq_dist(x[rows], centers)
+        k = buf[: sq.shape[0] + 1]
+        for i, sigma in enumerate(sigmas):
+            k[0] = sums[i]
+            _kernel(sq, sigma, k[1:])
+            sums[i] = np.add.reduce(k, axis=0)
+    return sums
 
 
 def _ridge_solve(h_hat: np.ndarray, ridge: float, rhs: np.ndarray):
@@ -229,16 +262,18 @@ def _loocv_scores(
     h_hat: np.ndarray,
     h_vec: np.ndarray,
     rhos: Sequence[float],
+    n_nu: int,
 ) -> list[float]:
     """Closed-form leave-one-out squared-error score of each rho at one sigma.
 
     Uses the matrix-inversion shortcut over held-out pairs: the first
     min(n_nu, n_de) rows of each kernel matrix are treated as paired
     leave-one-out cases, which is exact for the least-squares objective.
-    (h_hat, h_vec) are _moments(k_nu, k_de); each rho costs one Cholesky
-    factor and one solve for the stacked right-hand side [kde | h | knu].
+    k_nu needs only those first rows of the numerator kernel, whose full
+    row count is n_nu; h_hat is _gram(k_de) and h_vec the mean row of the
+    full numerator kernel. Each rho costs one Cholesky factor and one
+    solve for the stacked right-hand side [kde | h | knu].
     """
-    n_nu = k_nu.shape[0]
     n_de = k_de.shape[0]
     n = min(n_nu, n_de)
     if n < 2:
@@ -285,7 +320,8 @@ def ulsif_fit(
     criterion, with one Cholesky factor per pair and H and h built once
     per sigma. The winner's coefficients solve (H + rho I) alpha = h, with
     the winner's H and h kept from the scan, and are clipped at zero.
-    NumericalError if that final system is not positive definite.
+    DataError for empty or non-finite sample sets or unequal feature
+    counts; NumericalError if that final system is not positive definite.
     """
     return _ulsif_fit(
         numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
@@ -296,21 +332,25 @@ def ulsif_fit(
 def _ulsif_fit(
     numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
     seed, ratio_floor, ratio_cap,
-) -> tuple[UlsifModel, np.ndarray, np.ndarray]:
-    """ulsif_fit, also returning the kernel matrices of the numerator and
-    the denominator samples at the chosen width, for _clipped_ratio.
+) -> tuple[UlsifModel, np.ndarray]:
+    """ulsif_fit, also returning the denominator samples' kernel matrix at
+    the chosen width, for _clipped_ratio.
 
-    The scan writes each width's two kernel matrices into one of two
-    buffer pairs, (numerator x centers, denominator x centers), and swaps
-    the pairs whenever that width sets a new best score, so the other pair
-    always holds the best width so far. When the sets are too small for
-    leave-one-out, the kept pair is filled at the middle width."""
+    The numerator rows are read _BLOCK_ROWS at a time: one pass builds
+    each block's distances once and adds every width's kernel columns to
+    that width's h (_kernel_column_sums), and the leave-one-out pairs take
+    the kernels of the first min(n_nu, n_de) numerator rows alone. Each
+    width's denominator kernel is built whole, and the best width's is
+    kept. So memory is O(block b + n_de b), with no term in n_nu. When
+    the sets are too small for leave-one-out, the middle width is taken."""
     x_nu = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
     x_de = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
     if x_nu.shape[0] == 0 or x_de.shape[0] == 0:
         raise DataError("both sample sets must be nonempty")
     if x_nu.shape[1] != x_de.shape[1]:
         raise DataError("sample sets must share the feature dimension")
+    if not (np.isfinite(x_nu).all() and np.isfinite(x_de).all()):
+        raise DataError("sample sets must be finite")
     sigmas = [float(s) for s in candidate_sigmas]
     rhos = [float(r) for r in candidate_rhos]
     if not sigmas or not rhos:
@@ -320,33 +360,32 @@ def _ulsif_fit(
     UlsifConfig(ratio_floor, ratio_cap)
 
     rng = make_rng(seed)
-    b = min(DEFAULT_MAX_CENTERS, x_nu.shape[0])
-    centers = x_nu[rng.choice(x_nu.shape[0], size=b, replace=False)]
+    n_nu = x_nu.shape[0]
+    b = min(DEFAULT_MAX_CENTERS, n_nu)
+    centers = x_nu[rng.choice(n_nu, size=b, replace=False)]
 
-    sq_nu, sq_de = _sq_dist(x_nu, centers), _sq_dist(x_de, centers)
-    kept = (np.empty_like(sq_nu), np.empty_like(sq_de))  # the best width's kernels
-    work = (np.empty_like(sq_nu), np.empty_like(sq_de))
-    best = (np.inf, 0, 0, None)  # (score, sigma index, rho index, moments)
-    for i, sigma in enumerate(sigmas):
-        k_nu, k_de = _kernel(sq_nu, sigma, work[0]), _kernel(sq_de, sigma, work[1])
-        moments = _moments(k_nu, k_de)
-        scores = _loocv_scores(k_nu, k_de, *moments, rhos)
-        j = int(np.argmin(scores))  # the first minimum, as a strict < scan keeps
-        if scores[j] < best[0]:
-            best = (scores[j], i, j, moments)
-            kept, work = work, kept
-    score, i, j, moments = best
-    if moments is None:
-        # Degenerate sets (too few points for leave-one-out); take the
-        # middle width and the strongest ridge deterministically.
-        i, j = len(sigmas) // 2, len(rhos) - 1
-        moments = _moments(
-            _kernel(sq_nu, sigmas[i], kept[0]), _kernel(sq_de, sigmas[i], kept[1])
+    h_sums = _kernel_column_sums(x_nu, centers, sigmas)
+    sq_pairs = _sq_dist(x_nu[: x_de.shape[0]], centers)
+    sq_de = _sq_dist(x_de, centers)
+    # Degenerate sets (too few points for leave-one-out) score every pair
+    # inf and keep the middle width and the strongest ridge.
+    score, i, j, kept = np.inf, len(sigmas) // 2, len(rhos) - 1, None
+    for s, sigma in enumerate(sigmas):
+        k_de = _kernel(sq_de, sigma)
+        h_hat = _gram(k_de)
+        scores = _loocv_scores(
+            _kernel(sq_pairs, sigma), k_de, h_hat, h_sums[s] / n_nu, rhos, n_nu
         )
+        r = int(np.argmin(scores))  # the first minimum, as a strict < scan keeps
+        if scores[r] < score:
+            score, i, j, kept = scores[r], s, r, (h_hat, k_de)
+    if kept is None:
+        k_de = _kernel(sq_de, sigmas[i])
+        kept = (_gram(k_de), k_de)
     sigma, rho = sigmas[i], rhos[j]
 
-    h_hat, h_vec = moments
-    alpha = _ridge_solve(h_hat, rho, h_vec)
+    h_hat, k_de = kept
+    alpha = _ridge_solve(h_hat, rho, h_sums[i] / n_nu)
     if alpha is None:
         raise NumericalError(
             f"uLSIF system at sigma={sigma:g}, rho={rho:g} is not positive definite"
@@ -361,14 +400,27 @@ def _ulsif_fit(
         ratio_floor=ratio_floor,
         ratio_cap=ratio_cap,
     )
-    return model, kept[0], kept[1]
+    return model, k_de
 
 
 def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted ratio at new points, clipped like exact ratios."""
+    """Evaluate the fitted ratio at new points, clipped like exact ratios.
+
+    The points are read _BLOCK_ROWS at a time. DataError for non-finite
+    points or a feature count other than the centers'."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    sq = _sq_dist(x, model.centers)
-    return _clipped_ratio(model, _kernel(sq, model.sigma, sq))
+    if x.shape[1] != model.centers.shape[1]:
+        raise DataError(
+            f"points have {x.shape[1]} features, the model's centers have "
+            f"{model.centers.shape[1]}"
+        )
+    if not np.isfinite(x).all():
+        raise DataError("points must be finite")
+    r = np.empty(x.shape[0])
+    for rows in _blocks(x.shape[0]):
+        sq = _sq_dist(x[rows], model.centers)
+        r[rows] = _clipped_ratio(model, _kernel(sq, model.sigma, sq))
+    return r
 
 
 def _clipped_ratio(model: UlsifModel, k: np.ndarray) -> np.ndarray:
@@ -390,26 +442,34 @@ def weights_from_ulsif(
     are drawn from derive_seed(seed, 1). The ridge grid is
     DEFAULT_RHO_VALUES. s_unlabeled is 1/r at the unlabeled points from
     the same model, clipped like r; it cannot move a fit (see sslogit.em).
-    Both are read from the kernel matrices that the fit's width scan kept
-    in its buffers for the winning width, so the winner's kernels are
-    computed once and ulsif_predict's distances are not built again; the
-    values equal ulsif_predict's bit for bit.
+    r at the labeled rows is read from the labeled kernel that the fit kept
+    for the winning width, and r at the unlabeled rows is ulsif_predict's,
+    block by block; both equal ulsif_predict's bit for bit. Above
+    MEDIAN_POINTS the drawn rows are gathered from the two blocks, so no
+    pooled copy of the covariates is built.
     """
     if data.n_unlabeled == 0:
         raise DataError("ratios require unlabeled data")
-    pooled = np.vstack([data.labeled_x, data.unlabeled_x])
-    if pooled.shape[0] > MEDIAN_POINTS:
-        rng = make_rng(derive_seed(seed, 2))
-        pooled = pooled[rng.choice(pooled.shape[0], size=MEDIAN_POINTS, replace=False)]
+    n1, n = data.n_labeled, data.n_labeled + data.n_unlabeled
+    if n > MEDIAN_POINTS:
+        # The drawn pooled rows, in the order drawn, without the pooled copy.
+        idx = make_rng(derive_seed(seed, 2)).choice(n, size=MEDIAN_POINTS, replace=False)
+        pooled = np.empty((MEDIAN_POINTS, data.labeled_x.shape[1]))
+        labeled = idx < n1
+        pooled[labeled] = data.labeled_x[idx[labeled]]
+        pooled[~labeled] = data.unlabeled_x[idx[~labeled] - n1]
+    else:
+        pooled = np.vstack([data.labeled_x, data.unlabeled_x])
     scale = median_pairwise_distance(pooled)
     sigmas = [f * scale for f in DEFAULT_SIGMA_FACTORS]
 
-    r_model, k_unlabeled, k_labeled = _ulsif_fit(
+    r_model, k_labeled = _ulsif_fit(
         data.unlabeled_x, data.labeled_x, sigmas, DEFAULT_RHO_VALUES,
         derive_seed(seed, 1), config.ratio_floor, config.ratio_cap,
     )
-    r_unlabeled = _clipped_ratio(r_model, k_unlabeled)
+    s_unlabeled = ulsif_predict(r_model, data.unlabeled_x)  # r, then 1/r in place
+    np.divide(1.0, s_unlabeled, out=s_unlabeled)
     return RatioWeights(
         r_labeled=_clipped_ratio(r_model, k_labeled),
-        s_unlabeled=np.clip(1.0 / r_unlabeled, config.ratio_floor, config.ratio_cap),
+        s_unlabeled=np.clip(s_unlabeled, config.ratio_floor, config.ratio_cap, out=s_unlabeled),
     )

@@ -155,6 +155,29 @@ class TestFitPredictRoundTrip:
         assert out == expected
         assert {"1.0,1", "0.5,0"} <= set(out.splitlines())
 
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_predict_writes_its_rows_in_blocks_as_one_text(
+        self, tmp_path, capsys, monkeypatch, n
+    ):
+        # Blocks of 4 rows: a partial last block, a full one, one row alone.
+        monkeypatch.setattr(cli_mod, "_PREDICT_BLOCK_ROWS", 4)
+        w = np.array([0.2, 1.5, -0.7])
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "format": "sslogit-model", "version": 1,
+            "n_features": 2, "coefficients": w.tolist(),
+        }))
+        x = write_features(tmp_path / "x.csv", n, 2, seed=5)
+        probs, labels = predict(FittedModel(w, None, None, None, None, None, None), x)
+        expected = "probability,label\n" + "".join(
+            f"{repr(float(p))},{int(l)}\n" for p, l in zip(probs, labels)
+        )
+        argv = ["predict", "--model", str(model_path), "--data", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert main(argv + ["--output", str(tmp_path / "preds.csv")]) == 0
+        assert (tmp_path / "preds.csv").read_bytes().decode() == expected
+
     def test_standardization_is_stored_and_applied(self, tmp_path):
         # Features on a huge scale: the saved model must carry the pool
         # statistics and predict must undo them before the dot product.

@@ -7,15 +7,24 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import pdist
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import sslogit.ratios as ratios_mod
-from sslogit.data import SplitDataset, make_rng
+from sslogit.data import SplitDataset, derive_seed, make_rng
 from sslogit.errors import DataError, NumericalError, ParameterError
 from sslogit.ratios import (
     MEDIAN_POINTS,
+    RATIO_CAP,
+    RATIO_FLOOR,
     DiagGaussian,
+    _gram,
     _kernel,
     _loocv_scores,
-    _moments,
+    _ridge_solve,
     _sq_dist,
     RatioWeights,
     UlsifConfig,
@@ -258,7 +267,9 @@ class TestLoocvScore:
             k_nu = _kernel(_sq_dist(x_nu, centers), sigma)
             k_de = _kernel(_sq_dist(x_de, centers), sigma)
             expected = loocv_by_refit(k_nu, k_de, rho)
-            (score,) = _loocv_scores(k_nu, k_de, *_moments(k_nu, k_de), [rho])
+            (score,) = _loocv_scores(
+                k_nu, k_de, _gram(k_de), k_nu.mean(axis=0), [rho], n_nu
+            )
             assert score == pytest.approx(expected, rel=1e-12)
 
 
@@ -390,9 +401,9 @@ class TestWeightsFromUlsif:
             fitted.append(fit(*args))
             return fitted[-1]
 
-        # The fit also hands back the kernel matrices of its chosen width,
-        # and both ratios are read from them: they must equal
-        # ulsif_predict's bit for bit. One unlabeled row leaves too few
+        # The fit also hands back the labeled kernel matrix of its chosen
+        # width, and r at the labeled rows is read from it; both ratios
+        # must equal ulsif_predict's bit for bit. One unlabeled row leaves too few
         # points for leave-one-out, so that fit falls back to the middle
         # width and the strongest ridge.
         fit = ratios_mod._ulsif_fit
@@ -458,3 +469,167 @@ class TestWeightsFromUlsif:
         monkeypatch.setattr(ratios_mod, "DEFAULT_MAX_CENTERS", 10)
         w = weights_from_ulsif(data, seed=0)
         assert np.all(np.isfinite(w.r_labeled))
+
+
+def unblocked_fit(x_nu, x_de, sigmas, rhos, seed, floor=RATIO_FLOOR, cap=RATIO_CAP):
+    """The uLSIF fit by the unblocked algebra: whole (n_nu, b) kernels at
+    every width and h = k_nu.mean(axis=0). Returns (alpha, sigma, rho,
+    score, centers) and the clipped ratios at x_nu and at x_de."""
+    n_nu = x_nu.shape[0]
+    b = min(ratios_mod.DEFAULT_MAX_CENTERS, n_nu)
+    centers = x_nu[make_rng(seed).choice(n_nu, size=b, replace=False)]
+    sq_nu, sq_de = _sq_dist(x_nu, centers), _sq_dist(x_de, centers)
+    score, i, j = np.inf, len(sigmas) // 2, len(rhos) - 1
+    for w, sigma in enumerate(sigmas):
+        k_nu, k_de = _kernel(sq_nu, sigma), _kernel(sq_de, sigma)
+        scores = _loocv_scores(k_nu, k_de, _gram(k_de), k_nu.mean(axis=0), rhos, n_nu)
+        r = int(np.argmin(scores))
+        if scores[r] < score:
+            score, i, j = scores[r], w, r
+    k_nu, k_de = _kernel(sq_nu, sigmas[i]), _kernel(sq_de, sigmas[i])
+    alpha = np.maximum(_ridge_solve(_gram(k_de), rhos[j], k_nu.mean(axis=0)), 0.0)
+    fit = (alpha, sigmas[i], rhos[j], float(score), centers)
+    return fit, np.clip(k_nu @ alpha, floor, cap), np.clip(k_de @ alpha, floor, cap)
+
+
+def unblocked_weights(data, seed):
+    """weights_from_ulsif by the unblocked algebra: the pooled copy of the
+    covariates for the median, then unblocked_fit."""
+    pooled = np.vstack([data.labeled_x, data.unlabeled_x])
+    if pooled.shape[0] > MEDIAN_POINTS:
+        rng = make_rng(derive_seed(seed, 2))
+        pooled = pooled[rng.choice(pooled.shape[0], size=MEDIAN_POINTS, replace=False)]
+    scale = median_pairwise_distance(pooled)
+    sigmas = [f * scale for f in ratios_mod.DEFAULT_SIGMA_FACTORS]
+    _, r_nu, r_de = unblocked_fit(
+        data.unlabeled_x, data.labeled_x, sigmas, ratios_mod.DEFAULT_RHO_VALUES,
+        derive_seed(seed, 1),
+    )
+    return r_de, np.clip(1.0 / r_nu, RATIO_FLOOR, RATIO_CAP)
+
+
+B = ratios_mod._BLOCK_ROWS
+
+
+class TestBlockedUlsif:
+    """The fit reads the unlabeled rows in blocks; its bits are those of
+    the unblocked algebra."""
+
+    @staticmethod
+    def assert_same_bits(data, seed):
+        w = weights_from_ulsif(data, seed=seed)
+        r_labeled, s_unlabeled = unblocked_weights(data, seed)
+        assert w.r_labeled.tobytes() == r_labeled.tobytes()
+        assert w.s_unlabeled.tobytes() == s_unlabeled.tobytes()
+        sigmas, rhos = [0.3, 1.0, 3.0], [1e-3, 0.1, 1.0]
+        model = ulsif_fit(data.unlabeled_x, data.labeled_x, sigmas, rhos, seed=seed)
+        fit, r_nu, r_de = unblocked_fit(data.unlabeled_x, data.labeled_x, sigmas, rhos, seed)
+        alpha, sigma, rho, score, centers = fit
+        assert model.alpha.tobytes() == alpha.tobytes()
+        assert (model.sigma, model.rho, model.loocv_score) == (sigma, rho, score)
+        assert model.centers.tobytes() == centers.tobytes()
+        assert ulsif_predict(model, data.unlabeled_x).tobytes() == r_nu.tobytes()
+        assert ulsif_predict(model, data.labeled_x).tobytes() == r_de.tobytes()
+
+    @pytest.mark.parametrize(
+        "n1, n0",
+        [
+            (100, B - 1), (100, B), (100, B + 1), (100, 3 * B + 7),
+            # More labeled rows than one block: the leave-one-out pairs
+            # are the first n_labeled unlabeled rows, across blocks.
+            (B + 188, 3 * B + 64),
+            (300, 50),  # fewer unlabeled rows than labeled ones
+            (40, 1),  # too few for leave-one-out: the fallback width
+        ],
+    )
+    def test_equals_the_unblocked_algebra_bit_for_bit(self, n1, n0):
+        self.assert_same_bits(make_split(n1, n0, 3, seed=n1 + n0), seed=n0)
+
+    @pytest.mark.parametrize("n1, n0", [(30, 41), (45, 100), (70, 33), (9, 9)])
+    def test_small_blocks_equal_the_unblocked_algebra(self, monkeypatch, n1, n0):
+        # Many blocks of 8 rows, a last block of 9 rather than of 1 (41,
+        # 33, 9), and labeled rows spanning several blocks.
+        monkeypatch.setattr(ratios_mod, "_BLOCK_ROWS", 8)
+        self.assert_same_bits(make_split(n1, n0, 2, seed=n1 * n0), seed=1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7])
+    def test_blocks_cover_the_rows_without_a_lone_row(self, n):
+        blocks = ratios_mod._blocks(n)
+        assert [s.start for s in blocks] == list(range(0, len(blocks) * B, B))
+        assert blocks[-1].stop == n
+        sizes = [s.stop - s.start for s in blocks]
+        assert sizes[:-1] == [B] * (len(blocks) - 1)
+        assert 2 <= sizes[-1] <= B + 1 if n > 1 else sizes == [n]
+
+    def test_peak_memory_does_not_grow_with_the_unlabeled_rows(self):
+        peaks = []
+        for n0 in (4_000, 40_000):
+            data = make_split(100, n0, 10, seed=20)
+            tracemalloc.start()
+            try:
+                weights_from_ulsif(data, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The unblocked fit grew by some 86 MB between the two.
+        assert peaks[1] - peaks[0] <= 2e6
+
+    def test_bytes_do_not_depend_on_blas_threads_past_ten_thousand_rows(self):
+        # A whole-matrix product over 10,003 rows splits its rows between
+        # threads at a boundary where the kernels' sums differ; each block
+        # splits alike at any thread count.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from sslogit.data import SplitDataset, make_rng\n"
+            "from sslogit.ratios import weights_from_ulsif\n"
+            "rng = make_rng(108)\n"
+            "d = SplitDataset(rng.normal(size=(100, 5)), rng.random(100) < 0.5,\n"
+            "                 rng.normal(0.4, 1.2, size=(10003, 5)))\n"
+            "w = weights_from_ulsif(d, seed=8)\n"
+            "print(hashlib.sha256(w.r_labeled.tobytes() + w.s_unlabeled.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(ratios_mod.__file__).resolve().parents[1])
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t, PYTHONPATH=src),
+                timeout=300,
+            ).stdout
+            for t in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
+
+
+class TestUlsifInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_nonfinite_points(self, bad):
+        x = make_rng(21).normal(size=(20, 2))
+        y = x.copy()
+        y[3, 1] = bad
+        for x_nu, x_de in ((y, x), (x, y)):
+            with pytest.raises(DataError, match="finite"):
+                ulsif_fit(x_nu, x_de, [1.0], [0.1], seed=0)
+
+    @pytest.fixture
+    def model(self):
+        x = make_rng(22).normal(size=(30, 3))
+        return ulsif_fit(x, x[::-1], [1.0], [0.1], seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_rejects_nonfinite_points(self, model, bad):
+        x = np.zeros((4, 3))
+        x[2, 0] = bad
+        with pytest.raises(DataError, match="finite"):
+            ulsif_predict(model, x)
+
+    def test_predict_rejects_a_dimension_mismatch(self, model):
+        with pytest.raises(DataError, match="2 features.*3"):
+            ulsif_predict(model, np.zeros((5, 2)))
+        with pytest.raises(DataError, match="4 features"):
+            ulsif_predict(model, np.zeros(4))
+
+    def test_predict_shapes(self, model):
+        assert ulsif_predict(model, np.empty((0, 3))).shape == (0,)
+        one = ulsif_predict(model, np.zeros(3))
+        assert one.shape == (1,)
+        assert one.tobytes() == ulsif_predict(model, np.zeros((1, 3))).tobytes()
