@@ -67,9 +67,16 @@ def fit_step1(
     return fit_step1_batch(data, weights, params.gamma1, [params.lam]).checked_w(0)
 
 
+def _linear_predictor(design: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """design @ w summed by numpy's own loop, so each row's value does not
+    depend on the rows around it: a BLAS matrix-vector product can sum a
+    row in another order inside another row count."""
+    return np.einsum("ij,j->i", design, np.asarray(w, dtype=np.float64))
+
+
 def e_step(w: np.ndarray, data: SplitDataset) -> np.ndarray:
     """Impute soft targets: current posterior at every unlabeled point."""
-    return expit(data.unlabeled_design @ np.asarray(w, dtype=np.float64))
+    return expit(_linear_predictor(data.unlabeled_design, w))
 
 
 def m_step(
@@ -104,8 +111,9 @@ fit_supervised = fit_semisupervised
 
 
 def predict(model: FittedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class-1 probabilities and hard labels (threshold 1/2, ties to 0)."""
-    probs = expit(build_design(x) @ model.w)
+    """Class-1 probabilities and hard labels (threshold 1/2, ties to 0).
+    Each row's values do not depend on the other rows of x."""
+    probs = expit(_linear_predictor(build_design(x), model.w))
     return probs, (probs > 0.5).astype(np.uint8)
 
 
@@ -147,7 +155,8 @@ def fit_step1_batch(
 def fitted_model(
     data: SplitDataset, state: _NewtonBatchState, i: int, params: TuningParams
 ) -> FittedModel:
-    """Row i of a fit_step1_batch state as a model, with t_hat = e_step(w);
+    """Row i of a fit_step1_batch state as a model, with t_hat = e_step(w)
+    and converged when the row's Newton status is "converged";
     NumericalError if the row's fit failed."""
     w = state.checked_w(i).copy()
     return FittedModel(
@@ -156,7 +165,7 @@ def fitted_model(
         params=params,
         em_iterations=0,
         final_objective=float(state.objective[i]),
-        converged=True,
+        converged=state.status[i] == "converged",
         newton_diagnostics=state.diagnostics(i),
     )
 

@@ -393,7 +393,11 @@ def _newton_batch(x, v, yt, lams, n1, w0, max_iters=None, groups=None) -> _Newto
         w_a, lams_a = w[active], lams[active]
         g = _penalized_gradient(score[active], w_a, lams_a, n1)
         delta, failed = _batch_solve(_add_ridge(hess[active], lams_a, n1), g)
-        decrement = -0.5 * (g * delta).sum(axis=1)
+        # On a nearly flat Hessian the step can be finite but g * delta
+        # overflow; such a decrement is not below the tolerance, so the row
+        # steps and the line search decides, and numpy does not warn here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            decrement = -0.5 * (g * delta).sum(axis=1)
         converged = ~failed & (decrement <= DECREMENT_TOL * weight[active])
         step = ~(failed | converged)
         if not step.all():

@@ -10,12 +10,12 @@ weights carry the same bytes at any BLAS thread count. The fit reads
 its numerator (unlabeled) rows, and ulsif_predict its points, in blocks
 of _BLOCK_ROWS, so their memory is O((block + n_labeled) x centers),
 with no term in the number of unlabeled rows, and the blocks give the
-bits of the whole-matrix algebra; the ratio at the unlabeled rows is
-one blocked pass after the width is chosen, which repeats one exp at
-that width. ulsif_fit checks its clip range by UlsifConfig's rule;
-exact_ratio keeps its own range. scipy.linalg and scipy.spatial are
-imported on the first estimate, not with the module: a process that
-never estimates a ratio loads neither.
+bits of the whole-matrix algebra. A fitted model is evaluated one way,
+by ulsif_predict's blocked pass, at the labeled and the unlabeled rows
+alike, which repeats one exp at the chosen width. ulsif_fit checks its
+clip range by UlsifConfig's rule; exact_ratio keeps its own range.
+scipy.linalg and scipy.spatial are imported on the first estimate, not
+with the module: a process that never estimates a ratio loads neither.
 """
 
 from __future__ import annotations
@@ -319,30 +319,19 @@ def ulsif_fit(
     set. Every (sigma, rho) pair is scored by the closed-form leave-one-out
     criterion, with one Cholesky factor per pair and H and h built once
     per sigma. The winner's coefficients solve (H + rho I) alpha = h, with
-    the winner's H and h kept from the scan, and are clipped at zero.
-    DataError for empty or non-finite sample sets or unequal feature
-    counts; NumericalError if that final system is not positive definite.
-    """
-    return _ulsif_fit(
-        numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
-        seed, ratio_floor, ratio_cap,
-    )[0]
-
-
-def _ulsif_fit(
-    numerator_samples, denominator_samples, candidate_sigmas, candidate_rhos,
-    seed, ratio_floor, ratio_cap,
-) -> tuple[UlsifModel, np.ndarray]:
-    """ulsif_fit, also returning the denominator samples' kernel matrix at
-    the chosen width, for _clipped_ratio.
+    the winner's H kept from the scan, and are clipped at zero. When the
+    sets are too small for leave-one-out, the middle width and the
+    strongest ridge are taken.
 
     The numerator rows are read _BLOCK_ROWS at a time: one pass builds
     each block's distances once and adds every width's kernel columns to
     that width's h (_kernel_column_sums), and the leave-one-out pairs take
     the kernels of the first min(n_nu, n_de) numerator rows alone. Each
-    width's denominator kernel is built whole, and the best width's is
-    kept. So memory is O(block b + n_de b), with no term in n_nu. When
-    the sets are too small for leave-one-out, the middle width is taken."""
+    width's denominator kernel is built whole. So memory is
+    O(block b + n_de b), with no term in n_nu.
+    DataError for empty or non-finite sample sets or unequal feature
+    counts; NumericalError if that final system is not positive definite.
+    """
     x_nu = np.atleast_2d(np.asarray(numerator_samples, dtype=np.float64))
     x_de = np.atleast_2d(np.asarray(denominator_samples, dtype=np.float64))
     if x_nu.shape[0] == 0 or x_de.shape[0] == 0:
@@ -367,9 +356,7 @@ def _ulsif_fit(
     h_sums = _kernel_column_sums(x_nu, centers, sigmas)
     sq_pairs = _sq_dist(x_nu[: x_de.shape[0]], centers)
     sq_de = _sq_dist(x_de, centers)
-    # Degenerate sets (too few points for leave-one-out) score every pair
-    # inf and keep the middle width and the strongest ridge.
-    score, i, j, kept = np.inf, len(sigmas) // 2, len(rhos) - 1, None
+    score, i, j, h_kept = np.inf, len(sigmas) // 2, len(rhos) - 1, None
     for s, sigma in enumerate(sigmas):
         k_de = _kernel(sq_de, sigma)
         h_hat = _gram(k_de)
@@ -378,20 +365,18 @@ def _ulsif_fit(
         )
         r = int(np.argmin(scores))  # the first minimum, as a strict < scan keeps
         if scores[r] < score:
-            score, i, j, kept = scores[r], s, r, (h_hat, k_de)
-    if kept is None:
-        k_de = _kernel(sq_de, sigmas[i])
-        kept = (_gram(k_de), k_de)
+            score, i, j, h_kept = scores[r], s, r, h_hat
+    if h_kept is None:  # every pair scored inf: the middle width's H
+        h_kept = _gram(_kernel(sq_de, sigmas[i], sq_de))
     sigma, rho = sigmas[i], rhos[j]
 
-    h_hat, k_de = kept
-    alpha = _ridge_solve(h_hat, rho, h_sums[i] / n_nu)
+    alpha = _ridge_solve(h_kept, rho, h_sums[i] / n_nu)
     if alpha is None:
         raise NumericalError(
             f"uLSIF system at sigma={sigma:g}, rho={rho:g} is not positive definite"
         )
     np.maximum(alpha, 0.0, out=alpha)
-    model = UlsifModel(
+    return UlsifModel(
         centers=centers,
         sigma=sigma,
         rho=rho,
@@ -400,14 +385,14 @@ def _ulsif_fit(
         ratio_floor=ratio_floor,
         ratio_cap=ratio_cap,
     )
-    return model, k_de
 
 
 def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the fitted ratio at new points, clipped like exact ratios.
 
-    The points are read _BLOCK_ROWS at a time. DataError for non-finite
-    points or a feature count other than the centers'."""
+    The points are read _BLOCK_ROWS at a time, and the clip runs once on
+    the whole result. DataError for non-finite points or a feature count
+    other than the centers'."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.centers.shape[1]:
         raise DataError(
@@ -419,13 +404,8 @@ def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
     r = np.empty(x.shape[0])
     for rows in _blocks(x.shape[0]):
         sq = _sq_dist(x[rows], model.centers)
-        r[rows] = _clipped_ratio(model, _kernel(sq, model.sigma, sq))
-    return r
-
-
-def _clipped_ratio(model: UlsifModel, k: np.ndarray) -> np.ndarray:
-    """The clipped ratio at points whose kernel matrix at model.sigma is k."""
-    return np.clip(k @ model.alpha, model.ratio_floor, model.ratio_cap)
+        r[rows] = _kernel(sq, model.sigma, sq) @ model.alpha
+    return np.clip(r, model.ratio_floor, model.ratio_cap, out=r)
 
 
 def weights_from_ulsif(
@@ -439,37 +419,34 @@ def weights_from_ulsif(
     distance of the pooled covariates (labeled rows, then unlabeled). Above
     MEDIAN_POINTS pooled rows the median is taken over MEDIAN_POINTS of
     them, drawn without replacement from derive_seed(seed, 2); the centers
-    are drawn from derive_seed(seed, 1). The ridge grid is
-    DEFAULT_RHO_VALUES. s_unlabeled is 1/r at the unlabeled points from
+    are drawn from derive_seed(seed, 1). The median's rows are gathered
+    from the two blocks, so no pooled copy of the covariates is built. The
+    ridge grid is DEFAULT_RHO_VALUES. r at the labeled rows is
+    ulsif_predict's, and s_unlabeled is 1/r at the unlabeled points from
     the same model, clipped like r; it cannot move a fit (see sslogit.em).
-    r at the labeled rows is read from the labeled kernel that the fit kept
-    for the winning width, and r at the unlabeled rows is ulsif_predict's,
-    block by block; both equal ulsif_predict's bit for bit. Above
-    MEDIAN_POINTS the drawn rows are gathered from the two blocks, so no
-    pooled copy of the covariates is built.
     """
     if data.n_unlabeled == 0:
         raise DataError("ratios require unlabeled data")
     n1, n = data.n_labeled, data.n_labeled + data.n_unlabeled
     if n > MEDIAN_POINTS:
-        # The drawn pooled rows, in the order drawn, without the pooled copy.
         idx = make_rng(derive_seed(seed, 2)).choice(n, size=MEDIAN_POINTS, replace=False)
-        pooled = np.empty((MEDIAN_POINTS, data.labeled_x.shape[1]))
-        labeled = idx < n1
-        pooled[labeled] = data.labeled_x[idx[labeled]]
-        pooled[~labeled] = data.unlabeled_x[idx[~labeled] - n1]
     else:
-        pooled = np.vstack([data.labeled_x, data.unlabeled_x])
+        idx = np.arange(n)
+    # The pooled rows idx, in that order, without the pooled copy.
+    pooled = np.empty((idx.size, data.labeled_x.shape[1]))
+    labeled = idx < n1
+    pooled[labeled] = data.labeled_x[idx[labeled]]
+    pooled[~labeled] = data.unlabeled_x[idx[~labeled] - n1]
     scale = median_pairwise_distance(pooled)
     sigmas = [f * scale for f in DEFAULT_SIGMA_FACTORS]
 
-    r_model, k_labeled = _ulsif_fit(
+    r_model = ulsif_fit(
         data.unlabeled_x, data.labeled_x, sigmas, DEFAULT_RHO_VALUES,
         derive_seed(seed, 1), config.ratio_floor, config.ratio_cap,
     )
     s_unlabeled = ulsif_predict(r_model, data.unlabeled_x)  # r, then 1/r in place
     np.divide(1.0, s_unlabeled, out=s_unlabeled)
     return RatioWeights(
-        r_labeled=_clipped_ratio(r_model, k_labeled),
+        r_labeled=ulsif_predict(r_model, data.labeled_x),
         s_unlabeled=np.clip(s_unlabeled, config.ratio_floor, config.ratio_cap, out=s_unlabeled),
     )

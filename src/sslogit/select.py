@@ -100,7 +100,8 @@ def default_grid() -> Grid:
 @dataclass(frozen=True)
 class CandidateRecord:
     """Outcome for one grid point; report is None when the fit or the
-    criterion failed (error says why)."""
+    criterion failed (error says why), and converged is True when the
+    Newton status is "converged"."""
 
     params: TuningParams
     report: Optional[GicReport]
@@ -131,14 +132,13 @@ class _SliceRecords:
 
     def _record(self, k: int) -> CandidateRecord:
         b, params = self._rows.start + k, self.params(k)
-        err = self._state.error(b)
-        fitted, report = err is None, None
-        if fitted:
+        err, report = self._state.error(b), None
+        if err is None:
             try:
                 report = self._col.report(b, params)
             except NumericalError as exc:
                 err = str(exc)
-        return CandidateRecord(params, report, fitted, err)
+        return CandidateRecord(params, report, self._state.status[b] == "converged", err)
 
 
 @dataclass(frozen=True)

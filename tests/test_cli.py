@@ -14,12 +14,15 @@ from scipy.special import expit
 
 import sslogit
 import sslogit.cli as cli_mod
+import sslogit.objective as objective_mod
 import sslogit.select as select_mod
 from sslogit.cli import main
-from sslogit.data import make_rng
-from sslogit.em import FittedModel, predict
+from sslogit.data import SplitDataset, make_rng
+from sslogit.em import FittedModel, fit_semisupervised, predict
 from sslogit.errors import DataError, NumericalError, ParameterError, SslogitError
 from sslogit.experiments import BENCHMARK_SPECS
+from sslogit.objective import TuningParams
+from sslogit.ratios import unit_weights
 
 # Lists that begin with a minus sign must use the = form, otherwise the
 # argument parser reads them as option names.
@@ -208,6 +211,38 @@ class TestFitPredictRoundTrip:
         w = np.asarray(doc["coefficients"])
         z = (x_new[:, 0] - std["mean"][0]) / std["scale"][0]
         np.testing.assert_allclose(probs, expit(w[0] + w[1] * z), rtol=1e-9)
+
+
+class TestConvergedIsTheNewtonStatus:
+    """converged is True only when the Newton row's status is "converged":
+    one step from zero does not meet the decrement rule."""
+
+    def test_an_iteration_cap_is_not_converged(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr(objective_mod, "MAX_ITERS", 1)
+        rng = make_rng(5)
+        x = rng.normal(size=(30, 2))
+        data = SplitDataset(x, (rng.random(30) < expit(x[:, 0])).astype(np.uint8),
+                            rng.normal(size=(20, 2)))
+        model = fit_semisupervised(data, unit_weights(data), TuningParams(0.5, 0.0, 0.1))
+        assert model.newton_diagnostics.status == "max-iterations"
+        assert model.converged is False
+
+        grid = select_mod.Grid((0.5,), (0.0,), (-1.0,))
+        result = select_mod.grid_search(data, unit_weights(data), grid, "sslrcs")
+        [record] = result.candidates
+        assert record.report is not None and record.error is None
+        assert record.converged is False
+        assert result.best_model.converged is False
+
+        model_path = workdir / "model.json"
+        assert main([
+            "fit", "--labeled", str(workdir / "labeled.csv"),
+            "--unlabeled", str(workdir / "unlabeled.csv"),
+            "--method", "sslrcs", "--log10-lambda", "-1.0",
+            "--model-out", str(model_path),
+        ]) == 0
+        assert "converged=false" in capsys.readouterr().out
+        assert json.loads(model_path.read_text())["converged"] is False
 
 
 class TestFitFlags:

@@ -102,11 +102,14 @@ class TestEStep:
         assert np.all(t > 0.0) and np.all(t < 1.0)
 
     def test_matches_posterior(self):
+        # The posterior of predict, bit for bit: both read one linear
+        # predictor, whose rows do not depend on the rows around them.
         data, _, _ = make_instance(4, 6, 2, seed=5)
         w = np.array([0.1, -0.4, 0.8])
-        np.testing.assert_array_equal(
-            e_step(w, data), expit(build_design(data.unlabeled_x) @ w)
-        )
+        model = FittedModel(w, np.empty(0), TuningParams(0.0, 0.0, 1.0), 0, 0.0, True, None)
+        t = e_step(w, data)
+        np.testing.assert_array_equal(t, predict(model, data.unlabeled_x)[0])
+        np.testing.assert_allclose(t, expit(build_design(data.unlabeled_x) @ w), rtol=1e-14)
 
     def test_no_unlabeled_gives_empty(self):
         data = SplitDataset(
@@ -479,6 +482,21 @@ class TestPredict:
         probs, labels = predict(model, np.array([[0.1], [-1.0]]))
         assert labels.tolist() == [1, 0]
         assert probs[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.6)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 513, 2000])
+    def test_a_row_alone_predicts_as_in_its_file(self, n):
+        # A BLAS matrix-vector product can sum a row in another order
+        # inside another row count; predict's rows must not depend on it.
+        rng = make_rng(n)
+        x = rng.normal(size=(n, 10))
+        model = FittedModel(
+            rng.normal(size=11), np.empty(0), TuningParams(0.0, 0.0, 1.0), 0, 0.0, True, None
+        )
+        probs, labels = predict(model, x)
+        for i in range(n):
+            one_probs, one_labels = predict(model, x[i:i + 1].copy())
+            assert one_probs[0] == probs[i], i
+            assert one_labels[0] == labels[i], i
 
     def test_negating_coefficients_flips_labels(self):
         rng = make_rng(21)

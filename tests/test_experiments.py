@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,18 @@ class TestSim2:
         assert neg.mean() == pytest.approx(8.0, abs=0.05)
         # Unlabeled block shifts both classes up by one.
         assert data.unlabeled_x.mean() == pytest.approx(7.5, abs=0.05)
+
+    def test_case2_bayes_error_is_the_closed_form(self):
+        # Classes N(+-1, 3 I) in 10 dimensions: the Bayes rule is sign(sum x),
+        # and sum x ~ N(+-10, 30) gives the error Phi(-sqrt(10/3)) = 3.394%.
+        n = 400_000
+        cfg = Sim2Config(case=2, n_labeled=2, n_unlabeled=2, n_test=n)
+        data = gen_sim2(cfg, seed=0)
+        error = np.mean((data.test_x.sum(axis=1) > 0.0) != (data.test_y == 1))
+        bayes = 0.5 * math.erfc(math.sqrt(10.0 / 3.0) / math.sqrt(2.0))
+        assert bayes == pytest.approx(0.03394, abs=5e-6)
+        # Four Monte Carlo standard errors, about 0.12 percentage points.
+        assert abs(error - bayes) <= 4.0 * math.sqrt(bayes * (1.0 - bayes) / n)
 
     def test_deterministic_and_named(self):
         exp = sim2_experiment(1)

@@ -670,3 +670,25 @@ class TestLineSearchWarnings:
         assert not all(trials)
         assert np.isfinite(state.objective).all()
         assert "failed" not in state.status
+
+    def test_an_overflowing_decrement_raises_no_warning(self):
+        # From this far, separable start one row's intercept curvature is
+        # about 1e-305: its step is finite, near 4e306, but g * delta
+        # overflows. The row is not converged; it steps as any other, and
+        # grouping still only shares work.
+        x, v, yt, lams, n1, w0, groups = grouped_instance(366847, 93, 2, 12, 32, True, 20.0)
+        deltas = []
+        batch_solve = objective_mod._batch_solve
+
+        def spy(h, g):
+            delta, failed = batch_solve(h, g)
+            deltas.append(np.abs(delta).max())
+            return delta, failed
+
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            mp.setattr(objective_mod, "_batch_solve", spy)
+            grouped = newton_state_bytes((x, v, yt, lams, n1, w0, 3, groups))
+            rows = newton_state_bytes((x, v[groups], yt, lams, n1, w0[groups], 3))
+        assert max(deltas) > 1e306
+        assert grouped == rows

@@ -401,20 +401,18 @@ class TestWeightsFromUlsif:
             fitted.append(fit(*args))
             return fitted[-1]
 
-        # The fit also hands back the labeled kernel matrix of its chosen
-        # width, and r at the labeled rows is read from it; both ratios
-        # must equal ulsif_predict's bit for bit. One unlabeled row leaves too few
-        # points for leave-one-out, so that fit falls back to the middle
-        # width and the strongest ridge.
-        fit = ratios_mod._ulsif_fit
-        monkeypatch.setattr(ratios_mod, "_ulsif_fit", counting_fit)
+        # Both ratios must equal ulsif_predict's bit for bit. One unlabeled
+        # row leaves too few points for leave-one-out, so that fit falls
+        # back to the middle width and the strongest ridge.
+        fit = ratios_mod.ulsif_fit
+        monkeypatch.setattr(ratios_mod, "ulsif_fit", counting_fit)
         cfg = UlsifConfig(ratio_floor=0.7, ratio_cap=1.2)
         for n0, fallback in ((60, False), (1, True)):
             data = make_split(40, n0, 2, seed=13)
             fitted.clear()
             w = weights_from_ulsif(data, cfg, seed=3)
             assert len(fitted) == 1
-            r_model = fitted[0][0]
+            r_model = fitted[0]
             assert (r_model.loocv_score == np.inf) == fallback
             if fallback:
                 factors = ratios_mod.DEFAULT_SIGMA_FACTORS
