@@ -15,7 +15,7 @@ and the trace: one Cholesky check and one solve over the whole stack. The
 grid search scores the batch that fitted its rows; the single-model
 functions below score one model as a batch of one that takes no Newton
 step (objective._batch_of_one), which equals its row of the batch that
-fitted it bit for bit.
+fitted it bit for bit. Reports and the search's argmin read GicColumn.gic.
 """
 
 from __future__ import annotations
@@ -61,12 +61,17 @@ class GicColumn:
     weighted_nll: np.ndarray
     trace_term: np.ndarray
 
+    @property
+    def gic(self) -> np.ndarray:
+        """weighted_nll + 2 trace_term, per row and when read: NaN where R was degenerate."""
+        return self.weighted_nll + 2.0 * self.trace_term
+
     def report(self, b: int, params: TuningParams) -> GicReport:
         """Row b as a report; NumericalError if its R was degenerate."""
-        nll, trace = float(self.weighted_nll[b]), float(self.trace_term[b])
-        if np.isnan(trace):
+        gic = float(self.gic[b])
+        if np.isnan(gic):
             raise NumericalError("degenerate information matrix")
-        return GicReport(nll + 2.0 * trace, nll, trace, params)
+        return GicReport(gic, float(self.weighted_nll[b]), float(self.trace_term[b]), params)
 
 
 def _trace_terms(q: np.ndarray, r: np.ndarray) -> np.ndarray:

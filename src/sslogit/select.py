@@ -9,15 +9,14 @@ row of a single em.fit_step1_batch call, scored by a single
 gic.column_from_fit call that reads its pieces from that batch alone. Each
 lambda is ridge_values(log10 lambda), as in Grid's check and in the
 command line's fit, and printed results name it by the grid value it came
-from (Grid.log10_lambda). The baselines are the gamma1 = 0 rows, whose weights
-r^0 are exactly ones, so one batch serves all three methods (shared_search)
-and each picks its winner from its own slice of rows, built once whichever
-method asks. The winner is the first minimum of (gic, lambda, gamma1, row)
-over the criterion arrays. The slice's CandidateRecords are built only when
-SelectionResult.candidates is read, and hold no reference to the search. A
-failed fit keeps the batch's error text, and only a slice's winner becomes
-a FittedModel. check_method checks every method name, and check_methods
-every method list.
+from (Grid.log10_lambda). The baselines are the gamma1 = 0 rows, whose
+weights r^0 are exactly ones, so one batch serves all three methods
+(shared_search). Each distinct row range is one _Slice, which owns its
+winner, the first minimum of (gic, lambda, gamma1, row) over the column's
+gic at the rows the batch state did not fail, and its CandidateRecords,
+built when SelectionResult.candidates is first read. Only a slice's
+winner becomes a FittedModel. check_method checks every method name, and
+check_methods every method list.
 """
 
 from __future__ import annotations
@@ -109,29 +108,37 @@ class CandidateRecord:
     error: Optional[str] = None
 
 
-class _SliceRecords:
-    """The candidate records of rows start..stop of a search, built on the
-    first read and then kept. It holds the batch state and the criterion
-    column, never the search, so a finished search is freed as soon as
-    nothing refers to it."""
+class _Slice:
+    """Rows rows.start..rows.stop of a search, with their gamma1 and lambda
+    values: the winner, chosen when the slice is made (None when no row
+    was fitted and scored), and the records, built on the first read. It
+    holds the batch state and the criterion column, never the search, so
+    a finished search is freed as soon as nothing refers to it."""
 
-    def __init__(self, state: _NewtonBatchState, col: GicColumn, rows: slice,
-                 row_gammas: np.ndarray, row_lams: np.ndarray):
+    def __init__(self, data: SplitDataset, state: _NewtonBatchState, col: GicColumn,
+                 rows: slice, gammas: np.ndarray, lams: np.ndarray):
         self._state, self._col, self._rows = state, col, rows
-        self._gammas, self._lams = row_gammas[rows], row_lams[rows]
+        self._gammas, self._lams = gammas, lams
         self._records: Optional[list[CandidateRecord]] = None
+        self.best_model = self.best_report = None
+        fitted = np.array([state.error(b) is None for b in range(rows.start, rows.stop)])
+        gic = col.gic[rows]
+        ok = np.flatnonzero(fitted & ~np.isnan(gic))
+        if ok.size:
+            k = ok[np.lexsort((gammas[ok], lams[ok], gic[ok]))[0]]  # stable: first row wins ties
+            winner = self._record(k)
+            self.best_model = fitted_model(data, state, rows.start + k, winner.params)
+            self.best_report = winner.report
 
-    def params(self, k: int) -> TuningParams:
-        """Row k of the slice as parameters: its gamma1 and lambda, gamma2 = 0."""
-        return TuningParams(float(self._gammas[k]), 0.0, float(self._lams[k]))
-
-    def get(self) -> list[CandidateRecord]:
+    def records(self) -> list[CandidateRecord]:
         if self._records is None:
             self._records = [self._record(k) for k in range(self._gammas.size)]
         return self._records
 
     def _record(self, k: int) -> CandidateRecord:
-        b, params = self._rows.start + k, self.params(k)
+        """Row k of the slice, with its gamma1 and lambda and gamma2 = 0."""
+        b = self._rows.start + k
+        params = TuningParams(float(self._gammas[k]), 0.0, float(self._lams[k]))
         err, report = self._state.error(b), None
         if err is None:
             try:
@@ -140,21 +147,31 @@ class _SliceRecords:
                 err = str(exc)
         return CandidateRecord(params, report, self._state.status[b] == "converged", err)
 
+    def failure(self) -> NumericalError:
+        """A new error for select to raise when no row has a winner. Kept
+        here or in select's frame, its traceback would hold the search."""
+        cands = self.records()
+        exc = NumericalError(
+            f"all {len(cands)} grid candidates failed; first error: {cands[0].error}"
+        )
+        exc.candidates = list(cands)  # type: ignore[attr-defined]
+        return exc
+
 
 @dataclass(frozen=True)
 class SelectionResult:
     """A method's criterion minimizer and its winning report. candidates
-    lists one record per row of the method's slice, in grid order; the
+    lists one record per row of the method's _Slice, in grid order; the
     records are built when first read."""
 
     method: str
     best_model: FittedModel
     best_report: GicReport
-    records: _SliceRecords = field(repr=False, compare=False)
+    rows: _Slice = field(repr=False, compare=False)
 
     @property
     def candidates(self) -> list[CandidateRecord]:
-        return list(self.records.get())
+        return list(self.rows.records())
 
 
 def check_method(method: str) -> str:
@@ -179,20 +196,15 @@ def check_methods(methods: Sequence[str]) -> tuple[str, ...]:
 class SharedSearch:
     """One fitted and scored batch of grid rows, serving several methods.
 
-    rows maps each requested method to its slice of the batch: sslrcs's
-    (gamma1, lambda) rows, and one gamma1 = 0 block of lambda rows that
-    the baselines share. Each slice's records and winner are built once,
-    on the first request, keyed by the slice's bounds.
+    slices maps each requested method to its _Slice of the batch, which
+    holds its winner and records: sslrcs's (gamma1, lambda) rows, and one
+    gamma1 = 0 block of lambda rows that the baselines share.
     """
 
     data: SplitDataset
-    row_gammas: np.ndarray
-    row_lams: np.ndarray
     state: _NewtonBatchState
     col: GicColumn
-    rows: dict[str, slice]
-
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    slices: dict[str, _Slice]
 
     def select(self, method: str) -> SelectionResult:
         """The criterion minimizer over this method's rows.
@@ -203,33 +215,12 @@ class SharedSearch:
         that were fitted and scored. NumericalError if every row failed.
         """
         meth = check_method(method)
-        if meth not in self.rows:
+        if meth not in self.slices:
             raise ParameterError(f"method {meth!r} was not part of this search")
-        rows = self.rows[meth]
-        key = (rows.start, rows.stop)
-        if key not in self._built:
-            self._built[key] = self._build(rows)
-        records, best_model, best_report = self._built[key]
-        return SelectionResult(meth, best_model, best_report, records)
-
-    def _build(self, rows: slice) -> tuple[_SliceRecords, FittedModel, GicReport]:
-        records = _SliceRecords(self.state, self.col, rows, self.row_gammas, self.row_lams)
-        fitted = np.array([self.state.error(b) is None for b in range(rows.start, rows.stop)])
-        trace = self.col.trace_term[rows]
-        ok = np.flatnonzero(fitted & ~np.isnan(trace))
-        if ok.size == 0:
-            cands = records.get()
-            exc = NumericalError(
-                f"all {len(cands)} grid candidates failed; first error: {cands[0].error}"
-            )
-            exc.candidates = cands  # type: ignore[attr-defined]
-            raise exc
-        gic = self.col.weighted_nll[rows][ok] + 2.0 * trace[ok]
-        lams, gammas = self.row_lams[rows][ok], self.row_gammas[rows][ok]
-        best = ok[np.lexsort((gammas, lams, gic))[0]]  # stable: full ties go to the first row
-        params = records.params(best)
-        b = rows.start + best
-        return records, fitted_model(self.data, self.state, b, params), self.col.report(b, params)
+        rows = self.slices[meth]
+        if rows.best_model is None:
+            raise rows.failure()
+        return SelectionResult(meth, rows.best_model, rows.best_report, rows)
 
 
 def shared_search(
@@ -249,19 +240,21 @@ def shared_search(
     g = grid or default_grid()
     lams = ridge_values(g.log10_lambda_values)
     gammas = list(g.gamma1_values) if WEIGHTED_METHOD in meths else []
-    rows = {WEIGHTED_METHOD: slice(0, len(gammas) * lams.size)}
+    spans = {WEIGHTED_METHOD: (0, len(gammas) * lams.size)}
     if any(m != WEIGHTED_METHOD for m in meths):
         if 0.0 not in gammas:
             gammas.append(0.0)
         z = gammas.index(0.0) * lams.size
-        rows["lsslr"] = rows["slr"] = slice(z, z + lams.size)
+        spans["lsslr"] = spans["slr"] = (z, z + lams.size)
     row_gammas = np.repeat(np.asarray(gammas), lams.size)
     row_lams = np.tile(lams, len(gammas))
     state = fit_step1_batch(data, weights, row_gammas, row_lams)
     col = column_from_fit(state, row_lams, data.n_labeled)
-    return SharedSearch(
-        data, row_gammas, row_lams, state, col, {m: rows[m] for m in meths}
-    )
+    slices = {}
+    for span in dict.fromkeys(spans[m] for m in meths):
+        rows = slice(*span)
+        slices[span] = _Slice(data, state, col, rows, row_gammas[rows], row_lams[rows])
+    return SharedSearch(data, state, col, {m: slices[spans[m]] for m in meths})
 
 
 def grid_search(

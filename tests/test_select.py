@@ -196,20 +196,37 @@ class TestColumnScoring:
             assert cand.report.params is cand.params
             assert cand.report == ref
 
-    def test_degenerate_row_is_recorded_alone(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["sslrcs", "lsslr"])
+    def test_degenerate_row_is_recorded_alone(self, monkeypatch, method):
+        # The row that wins unpatched gets a NaN trace: its record says so,
+        # every other report reads its row of the column's gic bit for bit,
+        # and the winner is the first minimum over the rows still scored.
         data, weights = make_instance(15, 10, 2, seed=12)
+        first = grid_search(data, weights, TINY, method=method)
+        bad = [c.params for c in first.candidates].index(first.best_model.params)
+        cols = []
 
         def one_bad_row(*args):
             col = gic_mod.column_from_fit(*args)
-            col.trace_term[1] = np.nan
+            col.trace_term[bad] = np.nan  # both slices start at row 0 of TINY
+            cols.append(col)
             return col
 
         monkeypatch.setattr(select_mod, "column_from_fit", one_bad_row)
-        res = grid_search(data, weights, TINY, method="lsslr")
-        bad = res.candidates[1]
-        assert bad.report is None
-        assert bad.error == "degenerate information matrix"
-        assert all(c.report is not None for i, c in enumerate(res.candidates) if i != 1)
+        res = grid_search(data, weights, TINY, method=method)
+        gic = cols[0].gic
+        assert np.isnan(gic[bad])
+        cands = res.candidates
+        assert cands[bad].report is None
+        assert cands[bad].error == "degenerate information matrix"
+        scored = [k for k in range(len(cands)) if k != bad]
+        for k in scored:
+            assert cands[k].report.gic.hex() == gic[k].hex()
+        p = [c.params for c in cands]
+        best = min(scored, key=lambda k: (gic[k], p[k].lam, p[k].gamma1, k))
+        assert res.best_report is not first.best_report
+        assert res.best_report == cands[best].report
+        assert res.best_model.params == p[best]
 
 
 class TestStep1Search:
@@ -371,6 +388,14 @@ class TestOneOwnerPerDecision:
         assert [np.copysign(1.0, c.params.gamma1) for c in sslrcs.candidates] == [1.0, 1.0]
 
 
+def fail_zero_gamma(data, weights, gammas, lams):
+    """fit_step1_batch with every gamma1 = 0 row marked failed."""
+    state = fit_step1_batch(data, weights, gammas, lams)
+    for b in np.flatnonzero(np.asarray(gammas) == 0.0):
+        state.status[b] = objective_mod._FAILED
+    return state
+
+
 def assert_same_selection(got, want):
     assert got.method == want.method
     assert got.candidates == want.candidates
@@ -460,13 +485,6 @@ class TestSharedSearch:
         # Every gamma1 = 0 row fails: the baselines raise as their own
         # searches do, and sslrcs still selects from its other rows.
         data, weights = make_instance(15, 10, 2, seed=23)
-
-        def fail_zero_gamma(data, weights, gammas, lams):
-            state = fit_step1_batch(data, weights, gammas, lams)
-            for b in np.flatnonzero(np.asarray(gammas) == 0.0):
-                state.status[b] = objective_mod._FAILED
-            return state
-
         monkeypatch.setattr(select_mod, "fit_step1_batch", fail_zero_gamma)
         search = shared_search(data, weights, TINY)
         assert_same_selection(search.select("sslrcs"), grid_search(data, weights, TINY, "sslrcs"))
@@ -518,13 +536,26 @@ class TestLazyRecords:
         assert sslrcs.candidates is not sslrcs.candidates
         assert sslrcs.best_report == min(eager, key=lambda c: c.report.gic).report
 
-    def test_a_finished_search_is_freed_without_the_cycle_collector(self):
+    @pytest.mark.parametrize("fail_baselines", [False, True], ids=["fitted", "failed-baselines"])
+    def test_a_finished_search_is_freed_without_the_cycle_collector(
+        self, monkeypatch, fail_baselines
+    ):
+        # A failed slice raises a new error on each select: one kept in the
+        # slice would hold, through its traceback, the search that holds it.
         data, weights = make_instance(30, 10, 2, seed=34)
+        methods = select_mod.METHODS
+        if fail_baselines:
+            monkeypatch.setattr(select_mod, "fit_step1_batch", fail_zero_gamma)
+            methods = ("sslrcs",)
         enabled = gc.isenabled()
         gc.disable()
         try:
             search = shared_search(data, weights, TINY)
-            results = [search.select(m) for m in select_mod.METHODS]
+            if fail_baselines:
+                for _ in range(2):
+                    with pytest.raises(NumericalError, match="all 3 grid candidates failed"):
+                        search.select("slr")
+            results = [search.select(m) for m in methods]
             results[0].candidates
             freed = weakref.ref(search)
             del search
@@ -532,4 +563,4 @@ class TestLazyRecords:
         finally:
             if enabled:
                 gc.enable()
-        assert [len(r.candidates) for r in results] == [6, 3, 3]
+        assert [len(r.candidates) for r in results] == [6, 3, 3][: len(methods)]
