@@ -33,10 +33,11 @@ from pathlib import Path
 # Inputs: (name, labeled rows, unlabeled rows, test rows, features, seed).
 # b10 pools more than 1,000 rows, so uLSIF's median heuristic subsamples,
 # and has the 10 features of the benchmark's predict file;
-# c3 has more labeled rows than one of uLSIF's 512-row blocks.
+# c3 has more labeled rows than one of uLSIF's 512-row blocks;
+# u1 has one unlabeled row, too few for uLSIF's leave-one-out.
 DATASETS = (
     ("a2", 40, 60, 50, 2, 11), ("b10", 120, 1000, 200, 10, 12),
-    ("c3", 700, 1600, 100, 3, 13),
+    ("c3", 700, 1600, 100, 3, 13), ("u1", 30, 1, 20, 2, 14),
 )
 
 
@@ -89,6 +90,8 @@ COMMANDS = [
             "--methods", "sslrcs,slr", "--grid-gamma1=0,0.5",
             "--grid-log10-lambda=-0.3,-0.4,0.5"),
     _select("select-c3-sslrcs", "c3", "--unlabeled", "data/c3_unl.csv"),
+    # uLSIF's fallback width, and a ratio evaluated at one point alone.
+    _select("select-u1-sslrcs", "u1", "--unlabeled", "data/u1_unl.csv", "--methods", "sslrcs"),
     ("fit-c3-sslrcs", ["fit", "--labeled", "data/c3_lab.csv", "--unlabeled", "data/c3_unl.csv",
                        "--method", "sslrcs", "--gamma1", "0.5", "--log10-lambda", "-1",
                        "--model-out", "out/model-c3-sslrcs.json"],

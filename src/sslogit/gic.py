@@ -61,14 +61,14 @@ class GicColumn:
     weighted_nll: np.ndarray
     trace_term: np.ndarray
 
-    @property
-    def gic(self) -> np.ndarray:
-        """weighted_nll + 2 trace_term, per row and when read: NaN where R was degenerate."""
-        return self.weighted_nll + 2.0 * self.trace_term
+    def gic(self, rows=slice(None)) -> np.ndarray:
+        """weighted_nll + 2 trace_term at rows (all by default), derived when
+        read: NaN where R was degenerate."""
+        return self.weighted_nll[rows] + 2.0 * self.trace_term[rows]
 
     def report(self, b: int, params: TuningParams) -> GicReport:
         """Row b as a report; NumericalError if its R was degenerate."""
-        gic = float(self.gic[b])
+        gic = float(self.gic(b))
         if np.isnan(gic):
             raise NumericalError("degenerate information matrix")
         return GicReport(gic, float(self.weighted_nll[b]), float(self.trace_term[b]), params)

@@ -12,7 +12,8 @@ of _BLOCK_ROWS, so their memory is O((block + n_labeled) x centers),
 with no term in the number of unlabeled rows, and the blocks give the
 bits of the whole-matrix algebra. A fitted model is evaluated one way,
 by ulsif_predict's blocked pass, at the labeled and the unlabeled rows
-alike, which repeats one exp at the chosen width. ulsif_fit checks its
+alike, which repeats one exp at the chosen width; a point's ratio does
+not depend on the points around it. ulsif_fit checks its
 clip range by UlsifConfig's rule; exact_ratio keeps its own range.
 scipy.linalg and scipy.spatial are imported on the first estimate, not
 with the module: a process that never estimates a ratio loads neither.
@@ -390,9 +391,12 @@ def ulsif_fit(
 def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the fitted ratio at new points, clipped like exact ratios.
 
-    The points are read _BLOCK_ROWS at a time, and the clip runs once on
-    the whole result. DataError for non-finite points or a feature count
-    other than the centers'."""
+    A point's ratio does not depend on the points around it: the points
+    are read _BLOCK_ROWS at a time, each kernel row is summed against
+    alpha by numpy's own loop, not a BLAS product, and a lone point goes
+    through a block of two copies, since a one-row distance product takes
+    another BLAS routine. DataError for non-finite points or a feature
+    count other than the centers'."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.centers.shape[1]:
         raise DataError(
@@ -401,11 +405,13 @@ def ulsif_predict(model: UlsifModel, x: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(x).all():
         raise DataError("points must be finite")
-    r = np.empty(x.shape[0])
-    for rows in _blocks(x.shape[0]):
-        sq = _sq_dist(x[rows], model.centers)
-        r[rows] = _kernel(sq, model.sigma, sq) @ model.alpha
-    return np.clip(r, model.ratio_floor, model.ratio_cap, out=r)
+    n = x.shape[0]
+    pts = np.vstack([x, x]) if n == 1 else x
+    r = np.empty(pts.shape[0])
+    for rows in _blocks(pts.shape[0]):
+        sq = _sq_dist(pts[rows], model.centers)
+        r[rows] = np.einsum("ij,j->i", _kernel(sq, model.sigma, sq), model.alpha)
+    return np.clip(r[:n], model.ratio_floor, model.ratio_cap, out=r[:n])
 
 
 def weights_from_ulsif(

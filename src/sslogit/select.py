@@ -122,7 +122,7 @@ class _Slice:
         self._records: Optional[list[CandidateRecord]] = None
         self.best_model = self.best_report = None
         fitted = np.array([state.error(b) is None for b in range(rows.start, rows.stop)])
-        gic = col.gic[rows]
+        gic = col.gic(rows)
         ok = np.flatnonzero(fitted & ~np.isnan(gic))
         if ok.size:
             k = ok[np.lexsort((gammas[ok], lams[ok], gic[ok]))[0]]  # stable: first row wins ties

@@ -487,7 +487,15 @@ def unblocked_fit(x_nu, x_de, sigmas, rhos, seed, floor=RATIO_FLOOR, cap=RATIO_C
     k_nu, k_de = _kernel(sq_nu, sigmas[i]), _kernel(sq_de, sigmas[i])
     alpha = np.maximum(_ridge_solve(_gram(k_de), rhos[j], k_nu.mean(axis=0)), 0.0)
     fit = (alpha, sigmas[i], rhos[j], float(score), centers)
-    return fit, np.clip(k_nu @ alpha, floor, cap), np.clip(k_de @ alpha, floor, cap)
+    return fit, *(ratios_at(x, centers, sigmas[i], alpha, floor, cap) for x in (x_nu, x_de))
+
+
+def ratios_at(x, centers, sigma, alpha, floor, cap):
+    """The clipped ratios at x from whole-matrix distances, each kernel row
+    summed against alpha by numpy's own loop. A lone row is the first of
+    two copies: a one-row distance product takes another BLAS routine."""
+    sq = _sq_dist(np.vstack([x, x]), centers)[:1] if len(x) == 1 else _sq_dist(x, centers)
+    return np.clip(np.einsum("ij,j->i", _kernel(sq, sigma), alpha), floor, cap)
 
 
 def unblocked_weights(data, seed):
@@ -558,6 +566,19 @@ class TestBlockedUlsif:
         sizes = [s.stop - s.start for s in blocks]
         assert sizes[:-1] == [B] * (len(blocks) - 1)
         assert 2 <= sizes[-1] <= B + 1 if n > 1 else sizes == [n]
+
+    @pytest.mark.parametrize("d", [2, 10])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 1100])
+    def test_a_point_alone_has_its_ratio_in_the_whole_call(self, n, d):
+        rng = make_rng(n + d)
+        x_nu, x_de = rng.normal(size=(300, d)), rng.normal(0.3, 1.1, size=(80, d))
+        widths = [f * np.sqrt(d) for f in (0.5, 1.0, 2.0)]
+        model = ulsif_fit(x_nu, x_de, widths, [1e-3, 0.1], seed=d)
+        x = rng.normal(size=(n, d))
+        whole = ulsif_predict(model, x)
+        alone = np.concatenate([ulsif_predict(model, x[i : i + 1]) for i in range(n)])
+        assert alone.tobytes() == whole.tobytes()
+        assert np.mean((whole > RATIO_FLOOR) & (whole < RATIO_CAP)) > 0.5
 
     def test_peak_memory_does_not_grow_with_the_unlabeled_rows(self):
         peaks = []

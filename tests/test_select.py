@@ -196,37 +196,37 @@ class TestColumnScoring:
             assert cand.report.params is cand.params
             assert cand.report == ref
 
-    @pytest.mark.parametrize("method", ["sslrcs", "lsslr"])
-    def test_degenerate_row_is_recorded_alone(self, monkeypatch, method):
+    def test_degenerate_row_is_recorded_alone(self, monkeypatch):
         # The row that wins unpatched gets a NaN trace: its record says so,
         # every other report reads its row of the column's gic bit for bit,
         # and the winner is the first minimum over the rows still scored.
         data, weights = make_instance(15, 10, 2, seed=12)
-        first = grid_search(data, weights, TINY, method=method)
-        bad = [c.params for c in first.candidates].index(first.best_model.params)
-        cols = []
+        for method in ("sslrcs", "lsslr"):
+            first = grid_search(data, weights, TINY, method=method)
+            bad = [c.params for c in first.candidates].index(first.best_model.params)
+            cols = []
 
-        def one_bad_row(*args):
-            col = gic_mod.column_from_fit(*args)
-            col.trace_term[bad] = np.nan  # both slices start at row 0 of TINY
-            cols.append(col)
-            return col
+            def one_bad_row(*args):
+                col = gic_mod.column_from_fit(*args)
+                col.trace_term[bad] = np.nan  # both slices start at row 0 of TINY
+                cols.append(col)
+                return col
 
-        monkeypatch.setattr(select_mod, "column_from_fit", one_bad_row)
-        res = grid_search(data, weights, TINY, method=method)
-        gic = cols[0].gic
-        assert np.isnan(gic[bad])
-        cands = res.candidates
-        assert cands[bad].report is None
-        assert cands[bad].error == "degenerate information matrix"
-        scored = [k for k in range(len(cands)) if k != bad]
-        for k in scored:
-            assert cands[k].report.gic.hex() == gic[k].hex()
-        p = [c.params for c in cands]
-        best = min(scored, key=lambda k: (gic[k], p[k].lam, p[k].gamma1, k))
-        assert res.best_report is not first.best_report
-        assert res.best_report == cands[best].report
-        assert res.best_model.params == p[best]
+            with monkeypatch.context() as patch:
+                patch.setattr(select_mod, "column_from_fit", one_bad_row)
+                res = grid_search(data, weights, TINY, method=method)
+            gic = cols[0].gic()
+            assert np.isnan(gic[bad])
+            cands = res.candidates
+            assert cands[bad].report is None
+            assert cands[bad].error == "degenerate information matrix"
+            scored = [k for k in range(len(cands)) if k != bad]
+            for k in scored:
+                assert cands[k].report.gic.hex() == gic[k].hex()
+            p = [c.params for c in cands]
+            best = min(scored, key=lambda k: (gic[k], p[k].lam, p[k].gamma1, k))
+            assert res.best_report == cands[best].report
+            assert res.best_model.params == p[best] != first.best_model.params
 
 
 class TestStep1Search:
@@ -536,31 +536,30 @@ class TestLazyRecords:
         assert sslrcs.candidates is not sslrcs.candidates
         assert sslrcs.best_report == min(eager, key=lambda c: c.report.gic).report
 
-    @pytest.mark.parametrize("fail_baselines", [False, True], ids=["fitted", "failed-baselines"])
-    def test_a_finished_search_is_freed_without_the_cycle_collector(
-        self, monkeypatch, fail_baselines
-    ):
-        # A failed slice raises a new error on each select: one kept in the
-        # slice would hold, through its traceback, the search that holds it.
+    def test_a_finished_search_is_freed_without_the_cycle_collector(self, monkeypatch):
+        # Also when every baseline row failed: a failed slice raises a new
+        # error on each select, since one kept in the slice would hold,
+        # through its traceback, the search that holds the slice.
         data, weights = make_instance(30, 10, 2, seed=34)
-        methods = select_mod.METHODS
-        if fail_baselines:
-            monkeypatch.setattr(select_mod, "fit_step1_batch", fail_zero_gamma)
-            methods = ("sslrcs",)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            search = shared_search(data, weights, TINY)
+        for fail_baselines in (False, True):
+            methods = select_mod.METHODS
             if fail_baselines:
-                for _ in range(2):
-                    with pytest.raises(NumericalError, match="all 3 grid candidates failed"):
-                        search.select("slr")
-            results = [search.select(m) for m in methods]
-            results[0].candidates
-            freed = weakref.ref(search)
-            del search
-            assert freed() is None
-        finally:
-            if enabled:
-                gc.enable()
-        assert [len(r.candidates) for r in results] == [6, 3, 3][: len(methods)]
+                monkeypatch.setattr(select_mod, "fit_step1_batch", fail_zero_gamma)
+                methods = ("sslrcs",)
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                search = shared_search(data, weights, TINY)
+                if fail_baselines:
+                    for _ in range(2):
+                        with pytest.raises(NumericalError, match="all 3 grid candidates failed"):
+                            search.select("slr")
+                results = [search.select(m) for m in methods]
+                results[0].candidates
+                freed = weakref.ref(search)
+                del search
+                assert freed() is None
+            finally:
+                if enabled:
+                    gc.enable()
+            assert [len(r.candidates) for r in results] == [6, 3, 3][: len(methods)]
